@@ -28,13 +28,10 @@ from .errors import (
     ParameterDomainError,
     ResourceError,
     SingularStepError,
-    VerificationFailure,
 )
-from .girko import GirkoTrace, ProjectionState, diag_power_sums, girko_log_det, split_uv
+from .girko import GirkoTrace, ProjectionState, girko_log_det
 from .matrices import (
-    CorrelationMatrix,
     DataMatrix,
-    SelfNormalizedMatrix,
     log_det_spd,
     sample_correlation,
     sample_covariance,
@@ -54,7 +51,7 @@ from .moments import (
     sphere_identity_residuals,
     uniform_sphere_table,
 )
-from .sampling import RngStream, TailLaw, fill_matrix, sample_entries, sample_entry
+from .sampling import RngStream, TailLaw, fill_matrix, sample_entries
 from .simulate import ExperimentConfig, ExperimentReport, run_simulation, statistics_csv
 from .tail_limits import (
     MomentLimitQuery,
@@ -66,60 +63,3 @@ from .tail_limits import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CorrelationMatrix",
-    "ConfigError",
-    "DataMatrix",
-    "DegenerateInputError",
-    "ExperimentConfig",
-    "ExperimentReport",
-    "GirkoTrace",
-    "IncompleteTableError",
-    "InconsistentTableError",
-    "LawConstants",
-    "MomentLimitQuery",
-    "MomentTable",
-    "NotPositiveDefiniteError",
-    "NumericalFailure",
-    "ParameterDomainError",
-    "ProjectionState",
-    "ResourceError",
-    "RngStream",
-    "SelfNormalizedMatrix",
-    "SingularStepError",
-    "TailLaw",
-    "VerificationFailure",
-    "WeightVector",
-    "complete_table",
-    "convergence_diagnostic",
-    "diag_power_sums",
-    "fill_matrix",
-    "fourth_moment_centered",
-    "fourth_moment_raw",
-    "fourth_moment_sphere",
-    "girko_log_det",
-    "k_coefficients",
-    "ks_test",
-    "law_constants",
-    "log_det_spd",
-    "mc_moment_table",
-    "moment_limit",
-    "moment_limit_single",
-    "permutation_oracle",
-    "quadratic_form_moments",
-    "run_simulation",
-    "sample_correlation",
-    "sample_covariance",
-    "sample_entries",
-    "sample_entry",
-    "self_normalize",
-    "sphere_identity_residuals",
-    "split_uv",
-    "standardize_corr",
-    "standardize_cov",
-    "standardized_tail_constant",
-    "statistics_csv",
-    "stirling_gap",
-    "summary_moments",
-    "uniform_sphere_table",
-]

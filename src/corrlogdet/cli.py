@@ -5,8 +5,8 @@ Subcommands: ``simulate`` (config-driven Monte Carlo run), ``verify-moments``
 Cholesky audit), ``asymptotics`` (scaled-moment convergence diagnostic),
 ``plot`` (re-render an SVG from a saved report).
 
-Exit codes: 0 success, 1 verification failure, 2 invalid configuration,
-3 numerical failure beyond the flag budget.
+Exit codes: 0 success, 1 verification failure, 2 invalid configuration or
+arguments, 3 numerical failure beyond the flag budget.
 """
 
 from __future__ import annotations
@@ -119,9 +119,19 @@ def _cmd_verify_girko(args) -> int:
     return 0 if report.passed else 1
 
 
+def _int_list(option: str, text: str) -> list[int]:
+    try:
+        values = [int(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        values = []
+    if not values:
+        raise ConfigError(f"{option} takes comma-separated integers, got {text!r}")
+    return values
+
+
 def _cmd_asymptotics(args) -> int:
-    exponents = tuple(int(tok) for tok in str(args.k).split(",") if tok)
-    grid = [int(tok) for tok in str(args.grid).split(",") if tok]
+    exponents = tuple(_int_list("--k", args.k))
+    grid = _int_list("--grid", args.grid)
     if args.law == "symmetric_pareto":
         law = TailLaw.symmetric_pareto(args.alpha)
     else:

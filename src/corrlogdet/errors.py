@@ -48,9 +48,5 @@ class ConfigError(ValueError):
     """An experiment configuration is invalid."""
 
 
-class VerificationFailure(AssertionError):
-    """A verification suite found a violated identity or bound."""
-
-
 class NumericalFailure(ArithmeticError):
     """Too many replications failed numerically for the run to be trusted."""

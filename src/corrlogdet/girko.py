@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterDomainError, SingularStepError
-from .matrices import SelfNormalizedMatrix
 
 _REORTH_TOL = 1e-10
 _MAX_REORTH = 6
@@ -41,9 +40,9 @@ _MAX_REORTH = 6
 class ProjectionState:
     """Orthonormal basis of the span of absorbed rows inside R^n.
 
-    Exposes the quantities the recursion needs at step ``i``: quadratic
-    forms in the scaled complement projector ``Q_i``, its diagonal, and
-    power sums of that diagonal.
+    Exposes the quantities the recursion needs at step ``i``: the squared
+    residual of a new row, the diagonal of the scaled complement projector
+    ``Q_i`` and power sums of that diagonal.
     """
 
     def __init__(self, n: int, capacity: int | None = None):
@@ -54,11 +53,6 @@ class ProjectionState:
         self._count = 0
         # diag_load[k] = sum of squared k-th coordinates over basis vectors
         self._diag_load = np.zeros(n)
-
-    @property
-    def step(self) -> int:
-        """Number of rows absorbed so far (the index i)."""
-        return self._count
 
     @property
     def scale(self) -> int:
@@ -90,33 +84,6 @@ class ProjectionState:
         """Diagonal of the unit-trace complement projector Q_i."""
         return (1.0 - self._diag_load) / self.scale
 
-    def quad_form(self, y: np.ndarray) -> float:
-        """``y' Q_i y`` evaluated through the basis, O(i n)."""
-        r = self._residual(np.asarray(y, dtype=float))
-        return float(r @ r) / self.scale
-
-    def step_statistic(self, y: np.ndarray) -> float:
-        """``(n * y' P_i y - (n - i)) / (n - i)`` for a unit-norm row y."""
-        m = self.scale
-        return (self.n * self.quad_form(y) * m - m) / m
-
-    def split_uv(self, y: np.ndarray) -> tuple[float, float]:
-        """Diagonal / off-diagonal split of the step statistic.
-
-        Both parts are evaluated without forming Q_i: the diagonal part
-        from the tracked projector diagonal, the off-diagonal part as the
-        full quadratic form minus its diagonal contribution.
-        """
-        y = np.asarray(y, dtype=float)
-        m = self.scale
-        ysq = float(y @ y)
-        load_y = float(self._diag_load @ (y * y))
-        u = (self.n * (ysq - load_y) - m) / m
-        r = self._residual(y)
-        rsq = float(r @ r)
-        v = self.n * (rsq - ysq + load_y) / m
-        return u, v
-
     def diag_power_sums(self, max_j: int = 4) -> tuple[float, ...]:
         """Power sums ``sum_k q_kk^j`` for j = 1..max_j (max_j <= 4)."""
         if not 1 <= max_j <= 4:
@@ -145,14 +112,6 @@ class ProjectionState:
         return rsq
 
 
-def split_uv(state: ProjectionState, y_row: np.ndarray) -> tuple[float, float]:
-    return state.split_uv(y_row)
-
-
-def diag_power_sums(state: ProjectionState, max_j: int = 4) -> tuple[float, ...]:
-    return state.diag_power_sums(max_j)
-
-
 @dataclass(frozen=True)
 class GirkoTrace:
     """Complete record of the sequential log-det recursion.
@@ -178,27 +137,15 @@ class GirkoTrace:
     def log_det(self) -> float:
         return self.c_n + float(np.sum(np.log1p(self.z_tilde)))
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("step,z_tilde,u_part,v_part,s2,s3,s4\n")
-            for i in range(self.p):
-                s2, s3, s4 = (float(v) for v in self.power_sums[i, 1:4])
-                fh.write(
-                    f"{i},{float(self.z_tilde[i])!r},{float(self.u_part[i])!r},"
-                    f"{float(self.v_part[i])!r},{s2!r},{s3!r},{s4!r}\n"
-                )
 
-
-def girko_log_det(
-    y: SelfNormalizedMatrix | np.ndarray, record_bounds: bool = False
-) -> GirkoTrace:
+def girko_log_det(y: np.ndarray, record_bounds: bool = False) -> GirkoTrace:
     """Run the full recursion over the rows of a unit-norm matrix.
 
     Requires p <= n and (almost surely satisfied for continuous data)
     linearly independent rows; a step with non-positive residual raises
     :class:`SingularStepError` with the step index.
     """
-    rows = y.values if isinstance(y, SelfNormalizedMatrix) else np.asarray(y, dtype=float)
+    rows = np.asarray(y, dtype=float)
     p, n = rows.shape
     if not p <= n:
         raise ParameterDomainError("recursion requires p <= n")

@@ -8,15 +8,12 @@ matrix identity rather than a numerical accident.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
 
 from .errors import DegenerateInputError, NotPositiveDefiniteError, ParameterDomainError
-
-_HEADER = struct.Struct("<qq")
 
 
 @dataclass(frozen=True)
@@ -41,98 +38,40 @@ class DataMatrix:
     def n(self) -> int:
         return self.values.shape[1]
 
-    def to_bytes(self) -> bytes:
-        """Header (p, n as little-endian int64) followed by row-major doubles."""
-        return _HEADER.pack(self.p, self.n) + self.values.astype("<f8").tobytes()
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "DataMatrix":
-        p, n = _HEADER.unpack_from(blob)
-        body = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size, count=p * n)
-        return cls(body.reshape(p, n).copy())
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(f"{self.p},{self.n}\n")
-            for row in self.values:
-                fh.write(",".join(repr(float(x)) for x in row) + "\n")
-
-    @classmethod
-    def from_csv(cls, path) -> "DataMatrix":
-        with open(path, "r", encoding="ascii") as fh:
-            p, n = (int(tok) for tok in fh.readline().split(","))
-            rows = [
-                np.array([float(tok) for tok in fh.readline().split(",")])
-                for _ in range(p)
-            ]
-        values = np.vstack(rows)
-        if values.shape != (p, n):
-            raise ParameterDomainError("CSV body does not match its header")
-        return cls(values)
-
-
-@dataclass(frozen=True)
-class SelfNormalizedMatrix:
-    """Data matrix with every row scaled to unit Euclidean norm."""
-
-    values: np.ndarray
-
-    @property
-    def p(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass(frozen=True)
-class CorrelationMatrix:
-    """Symmetric p-by-p matrix with unit diagonal, stored densely."""
-
-    values: np.ndarray
-
-    @property
-    def p(self) -> int:
-        return self.values.shape[0]
-
 
 def sample_covariance(x: DataMatrix) -> np.ndarray:
-    """``X @ X.T / n``, exactly symmetric (upper triangle mirrored)."""
+    """``X @ X.T / n``; numpy forms ``A @ A.T`` with ``syrk``, so it is
+    exactly symmetric."""
     v = x.values
-    s = v @ v.T / x.n
-    upper = np.triu(s)
-    return upper + np.triu(s, 1).T
+    return v @ v.T / x.n
 
 
-def self_normalize(x: DataMatrix) -> SelfNormalizedMatrix:
+def self_normalize(x: DataMatrix) -> np.ndarray:
     """Divide each row by its Euclidean norm; zero rows are an error."""
     v = x.values
     norms = np.linalg.norm(v, axis=1)
     if np.any(norms == 0.0):
         bad = int(np.argmin(norms))
         raise DegenerateInputError(f"row {bad} has zero norm")
-    return SelfNormalizedMatrix(v / norms[:, None])
+    return v / norms[:, None]
 
 
-def sample_correlation(x: DataMatrix) -> CorrelationMatrix:
+def sample_correlation(x: DataMatrix) -> np.ndarray:
     """Correlation matrix ``Y @ Y.T`` with the diagonal pinned to exactly 1."""
-    y = self_normalize(x).values
+    y = self_normalize(x)
     r = y @ y.T
-    upper = np.triu(r)
-    r = upper + np.triu(r, 1).T
     np.fill_diagonal(r, 1.0)
-    return CorrelationMatrix(r)
+    return r
 
 
-def log_det_spd(m: np.ndarray | CorrelationMatrix) -> float:
+def log_det_spd(m: np.ndarray) -> float:
     """Log-determinant of a symmetric positive definite matrix via Cholesky.
 
     Raises :class:`NotPositiveDefiniteError` carrying the 1-based pivot
     index when a non-positive pivot is hit; callers decide policy (for a
     correlation matrix with p < n this signals a numerical breakdown).
     """
-    a = m.values if isinstance(m, CorrelationMatrix) else np.asarray(m, dtype=float)
+    a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ParameterDomainError("log_det_spd needs a square matrix")
     c, info = lapack.dpotrf(a, lower=1, overwrite_a=0)

@@ -24,7 +24,6 @@ permutations of a fixed vector provide the independent ground truth.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -97,44 +96,10 @@ class MomentTable:
         except KeyError:
             raise IncompleteTableError(f"moment table is missing {key}") from None
 
-    def has(self, *exponents: int) -> bool:
-        return moment_key(*exponents) in self.moments
-
     def require(self, keys: Iterable[tuple[int, ...]]) -> None:
         missing = [k for k in keys if k not in self.moments]
         if missing:
             raise IncompleteTableError(f"moment table is missing {missing}")
-
-    def is_exact(self) -> bool:
-        return all(isinstance(v, Fraction) for v in self.moments.values())
-
-    def to_json(self) -> str:
-        def encode(v: Number):
-            return str(v) if isinstance(v, Fraction) else float(v)
-
-        payload: dict = {
-            "n": self.n,
-            "moments": {",".join(map(str, k)): encode(v) for k, v in sorted(self.moments.items())},
-        }
-        if self.se is not None:
-            payload["se"] = {",".join(map(str, k)): v for k, v in sorted(self.se.items())}
-        return json.dumps(payload, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "MomentTable":
-        payload = json.loads(text)
-
-        def decode(v):
-            return Fraction(v) if isinstance(v, str) else float(v)
-
-        moments = {
-            tuple(int(t) for t in k.split(",")): decode(v)
-            for k, v in payload["moments"].items()
-        }
-        se = None
-        if "se" in payload:
-            se = {tuple(int(t) for t in k.split(",")): float(v) for k, v in payload["se"].items()}
-        return cls(n=int(payload["n"]), moments=moments, se=se)
 
 
 def complete_table(partial: MomentTable) -> MomentTable:
@@ -192,27 +157,19 @@ def sphere_identity_residuals(table: MomentTable) -> dict[str, Number]:
     table.require(ALL_KEYS)
     n = table.n
     g = table.get
-    one = _one_like(table.moments.values())
     b2, b4, b22 = g(2), g(4), g(2, 2)
     b6, b42, b222 = g(6), g(4, 2), g(2, 2, 2)
     b8, b62, b44, b422, b2222 = g(8), g(6, 2), g(4, 4), g(4, 2, 2), g(2, 2, 2, 2)
+    filled = complete_table(table).get
 
     return {
-        "fill_2": b2 - one / n,
-        "fill_4": b4 - (one / n - (n - 1) * b22),
-        "fill_42": b42 - (b22 / 2 - (n - 2) * b222 / 2),
-        "fill_6": b6 - (one / n - 3 * (n - 1) * b22 / 2 + (n - 1) * (n - 2) * b222 / 2),
-        "fill_62": b62
-        - (b22 / 2 - 5 * (n - 2) * b222 / 6 + (n - 2) * (n - 3) * b2222 / 3 - b44),
-        "fill_422": b422 - (b222 / 3 + (3 - n) * b2222 / 3),
-        "fill_8": b8
-        - (
-            one / n
-            + 2 * (1 - n) * b22
-            + (4 * n * n * one / 3 - 4 * n + 8 * one / 3) * b222
-            + (-(n**3) * one / 3 + 2 * n * n - 11 * n * one / 3 + 2) * b2222
-            + (n - 1) * b44
-        ),
+        "fill_2": b2 - filled(2),
+        "fill_4": b4 - filled(4),
+        "fill_42": b42 - filled(4, 2),
+        "fill_6": b6 - filled(6),
+        "fill_62": b62 - filled(6, 2),
+        "fill_422": b422 - filled(4, 2, 2),
+        "fill_8": b8 - filled(8),
         "norm_2": n * b4 + n * (n - 1) * b22 - 1,
         "norm_3": n * b6 + 3 * n * (n - 1) * b42 + n * (n - 1) * (n - 2) * b222 - 1,
         "norm_4": (
@@ -485,9 +442,7 @@ def _partition_keys(degree: int, max_parts: int) -> list[tuple[int, ...]]:
     return keys
 
 
-def permutation_oracle(
-    z: Sequence[Number], signed: bool = True, degree: int = 4
-) -> MomentTable:
+def permutation_oracle(z: Sequence[Number], degree: int = 4) -> MomentTable:
     """Exact moment table of Z uniform over (signed) permutations of ``z``.
 
     The law is exchangeable and sign-symmetric with
@@ -504,7 +459,6 @@ def permutation_oracle(
         raise ResourceError(f"enumeration oracle supports 1 <= n <= {_MAX_ORACLE_N}")
     if not 1 <= degree <= _MAX_ORACLE_DEGREE:
         raise ResourceError(f"oracle degree must be in [1, {_MAX_ORACLE_DEGREE}]")
-    del signed  # even moments are invariant under sign flips
     z2 = [v * v for v in z]
     one = _one_like(z2)
     pows = [[one] + [v**k for k in range(1, degree + 1)] for v in z2]
@@ -616,9 +570,6 @@ def rational_weights(n: int, rng: np.random.Generator, span: int = 9) -> WeightV
 # Monte Carlo estimation of sphere tables from self-normalized rows
 # ---------------------------------------------------------------------------
 
-_FALLING_KEYS = ALL_KEYS
-
-
 def _row_estimates(y2: np.ndarray, n: int) -> dict[tuple[int, ...], np.ndarray]:
     """Per-row unbiased estimates of every half-degree <= 4 moment.
 
@@ -669,13 +620,13 @@ def mc_moment_batches(
         raise ParameterDomainError("need at least one replication per batch")
     draws = _draws_per_entry(law)
     rows_per_chunk = max(1, max_chunk_entries // n)
-    out = {key: np.empty(batches) for key in _FALLING_KEYS}
+    out = {key: np.empty(batches) for key in ALL_KEYS}
     base = reps // batches
     extra = reps % batches
     for b in range(batches):
         m_batch = base + (1 if b < extra else 0)
         gen = rng.generator(b)
-        sums = {key: 0.0 for key in _FALLING_KEYS}
+        sums = {key: 0.0 for key in ALL_KEYS}
         done = 0
         while done < m_batch:
             m = min(rows_per_chunk, m_batch - done)
@@ -688,7 +639,7 @@ def mc_moment_batches(
             for key, vals in _row_estimates(y2, n).items():
                 sums[key] += float(vals.sum())
             done += m
-        for key in _FALLING_KEYS:
+        for key in ALL_KEYS:
             out[key][b] = sums[key] / m_batch
     return out
 

@@ -278,11 +278,6 @@ def sample_entries(law: TailLaw, rng: RngStream, count: int) -> np.ndarray:
     return _transform(law, u)
 
 
-def sample_entry(law: TailLaw, rng: RngStream) -> float:
-    """One draw from ``law``; identical streams give identical values."""
-    return float(sample_entries(law, rng, 1)[0])
-
-
 def fill_matrix(law: TailLaw, p: int, n: int, rng: RngStream) -> DataMatrix:
     """p-by-n matrix of i.i.d. draws with per-row derived substreams.
 

@@ -35,6 +35,7 @@ from .sampling import RngStream, TailLaw, fill_matrix
 _STATISTICS = ("corr_logdet", "cov_logdet")
 _FLAG_BUDGET = 0.001
 _KDE_POINTS = 256
+_KDE_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -90,13 +91,13 @@ class ExperimentConfig:
         try:
             data = dict(raw)
             law = TailLaw.from_config(data.pop("law"))
-            outputs = data.pop("outputs", {}) or {}
+            outputs = dict(data.pop("outputs", {}) or {})
             parallelism = data.pop("parallelism", None)
             if parallelism in ("auto", None):
                 parallelism = None
             else:
                 parallelism = int(parallelism)
-            return cls(
+            config = cls(
                 law=law,
                 p=int(data.pop("p")),
                 n=int(data.pop("n")),
@@ -104,12 +105,16 @@ class ExperimentConfig:
                 seed=int(data.pop("seed", 0)),
                 statistic=str(data.pop("statistic", "corr_logdet")),
                 parallelism=parallelism,
-                csv_path=outputs.get("csv_path"),
-                json_path=outputs.get("json_path"),
-                svg_path=outputs.get("svg_path"),
+                csv_path=outputs.pop("csv_path", None),
+                json_path=outputs.pop("json_path", None),
+                svg_path=outputs.pop("svg_path", None),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid experiment config: {exc}") from exc
+        unknown = sorted(data) + [f"outputs.{key}" for key in sorted(outputs)]
+        if unknown:
+            raise ConfigError(f"unknown config keys {unknown}")
+        return config
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
@@ -226,8 +231,12 @@ def kde_curve(x: np.ndarray, points: int = _KDE_POINTS) -> dict:
     lo = float(np.min(x)) - 3.0 * bw
     hi = float(np.max(x)) + 3.0 * bw
     grid = np.linspace(lo, hi, points)
-    z = (grid[None, :] - x[:, None]) / bw
-    density = np.exp(-0.5 * z * z).sum(axis=0) / (x.size * bw * math.sqrt(2.0 * math.pi))
+    # blocks of grid columns bound the temporaries to reps x _KDE_BLOCK
+    sums = np.empty(points)
+    for j in range(0, points, _KDE_BLOCK):
+        z = (grid[None, j : j + _KDE_BLOCK] - x[:, None]) / bw
+        sums[j : j + _KDE_BLOCK] = np.exp(-0.5 * z * z).sum(axis=0)
+    density = sums / (x.size * bw * math.sqrt(2.0 * math.pi))
     return {
         "grid": [float(g) for g in grid],
         "density": [float(d) for d in density],

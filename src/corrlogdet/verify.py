@@ -21,6 +21,7 @@ except ImportError:  # pragma: no cover
     def threadpool_limits(*_args, **_kwargs):
         return nullcontext()
 
+from .errors import ParameterDomainError
 from .girko import girko_log_det
 from .matrices import log_det_spd, sample_correlation, self_normalize
 from .moments import (
@@ -222,6 +223,8 @@ def verify_moments(
     nmax: int = 6, vectors: int = 50, trials: int = 20, seed: int = 20243
 ) -> VerificationReport:
     """Umbrella rational-arithmetic certification used by the CLI."""
+    if nmax < 3 or vectors < 1 or trials < 1:
+        raise ParameterDomainError("need nmax >= 3, vectors >= 1 and trials >= 1")
     report = VerificationReport("moment identity verification")
     report.checks += certify_sphere_identities(
         tuple(range(3, nmax + 1)), vectors=vectors, seed=seed
@@ -263,6 +266,8 @@ def verify_girko(
     off-diagonal entry bounds of the unit-trace projector at every step,
     its unit trace, and the exactness of the diagonal/off-diagonal split.
     """
+    if cases < 1:
+        raise ParameterDomainError("need cases >= 1")
     rng = np.random.default_rng(seed)
     results: list[GirkoCase] = []
     for case in range(cases):

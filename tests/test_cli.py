@@ -66,6 +66,14 @@ def test_simulate_invalid_config(tmp_path):
     assert main(["simulate", "--config", str(path)]) == 2
 
 
+def test_simulate_unknown_config_key(tmp_path, config_file, capsys):
+    raw = json.loads(config_file.read_text())
+    raw["sead"] = 7
+    config_file.write_text(json.dumps(raw))
+    assert main(["simulate", "--config", str(config_file)]) == 2
+    assert "sead" in capsys.readouterr().err
+
+
 def test_verify_moments_small(capsys):
     code = main(["verify-moments", "--nmax", "3", "--vectors", "2", "--trials", "1"])
     assert code == 0
@@ -106,6 +114,26 @@ def test_asymptotics_unit_exponent(tmp_path, capsys):
 
 def test_asymptotics_bad_alpha():
     assert main(["asymptotics", "--alpha", "4.5", "--k", "2", "--grid", "64", "--reps", "2000"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["asymptotics", "--alpha", "3.5", "--k", "x"],
+        ["asymptotics", "--alpha", "3.5", "--grid", "50,x"],
+        ["asymptotics", "--alpha", "3.5", "--grid", ","],
+        ["verify-girko", "--cases", "0"],
+        ["verify-girko", "--cases", "-3"],
+        ["verify-moments", "--nmax", "2"],
+        ["verify-moments", "--vectors", "0"],
+        ["verify-moments", "--trials", "0"],
+    ],
+)
+def test_bad_counts_and_lists_exit_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "all checks passed" not in captured.out
 
 
 def test_plot_round_trip(tmp_path, config_file):

@@ -9,7 +9,6 @@ from corrlogdet import (
     RngStream,
     SingularStepError,
     TailLaw,
-    diag_power_sums,
     fill_matrix,
     girko_log_det,
     law_constants,
@@ -17,7 +16,6 @@ from corrlogdet import (
     mc_moment_table,
     sample_correlation,
     self_normalize,
-    split_uv,
 )
 
 
@@ -28,10 +26,13 @@ def _state_from_rows(rows: np.ndarray) -> ProjectionState:
     return state
 
 
-def _random_state(p, n, seed, law=None):
+def _random_rows(p, n, seed, law=None):
     law = law or TailLaw.gaussian()
-    x = fill_matrix(law, p + 1, n, RngStream(seed))
-    y = self_normalize(x).values
+    return self_normalize(fill_matrix(law, p + 1, n, RngStream(seed)))
+
+
+def _random_state(p, n, seed, law=None):
+    y = _random_rows(p, n, seed, law)
     return _state_from_rows(y[:p]), y[p]
 
 
@@ -81,31 +82,34 @@ def test_c_n_value():
 
 
 def test_split_uv_step_zero():
-    state, y = _random_state(0, 25, 4)
-    u, v = split_uv(state, y)
+    trace = girko_log_det(_random_rows(0, 25, 4))
+    u, v = trace.u_part[0], trace.v_part[0]
     assert abs(u) < 1e-12
     assert abs(v) < 1e-12
 
 
 def test_split_uv_basis_vector_row():
-    state, _ = _random_state(6, 30, 5)
     n = 30
+    rows = _random_rows(6, n, 5)[:6]
     e1 = np.zeros(n)
     e1[0] = 1.0
-    u, v = split_uv(state, e1)
-    q11 = state.q_diag()[0]
+    trace = girko_log_det(np.vstack([rows, e1]))
+    u, v = trace.u_part[6], trace.v_part[6]
+    q11 = _state_from_rows(rows).q_diag()[0]
     assert u == pytest.approx(q11 * (n - 1) - (1.0 - q11), abs=1e-12)
     assert v == pytest.approx(0.0, abs=1e-12)
 
 
 def test_split_uv_against_dense_oracle():
-    state, y = _random_state(12, 40, 6, TailLaw.student_t(3.5))
+    rows = _random_rows(12, 40, 6, TailLaw.student_t(3.5))
+    y = rows[12]
     n = 40
-    q = state.dense_q()
+    q = _state_from_rows(rows[:12]).dense_q()
     u_direct = float(np.sum(np.diag(q) * (n * y * y - 1.0)))
     off = q - np.diag(np.diag(q))
     v_direct = float(n * y @ off @ y)
-    u, v = split_uv(state, y)
+    trace = girko_log_det(rows)
+    u, v = trace.u_part[12], trace.v_part[12]
     assert u == pytest.approx(u_direct, abs=1e-12)
     assert v == pytest.approx(v_direct, abs=1e-12)
     z_direct = float(n * y @ q @ y - 1.0)
@@ -115,7 +119,7 @@ def test_split_uv_against_dense_oracle():
 def test_diag_power_sums_initial_state():
     n = 17
     state = ProjectionState(n)
-    sums = diag_power_sums(state, 4)
+    sums = state.diag_power_sums(4)
     assert sums == pytest.approx(tuple(n ** (1 - j) for j in range(1, 5)), rel=1e-14)
 
 
@@ -123,7 +127,7 @@ def test_diag_power_sums_against_dense_oracle():
     state, _ = _random_state(10, 50, 7)
     q = state.dense_q()
     dense_sums = tuple(float(np.sum(np.diag(q) ** j)) for j in range(1, 5))
-    sums = diag_power_sums(state, 4)
+    sums = state.diag_power_sums(4)
     assert sums == pytest.approx(dense_sums, abs=1e-12)
     assert sums[0] == pytest.approx(1.0, abs=1e-12)
     # Jensen lower bound and max-entry upper bound on the second power sum
@@ -134,7 +138,7 @@ def test_diag_power_sums_against_dense_oracle():
 def test_diag_power_sums_max_j_guard():
     state = ProjectionState(5)
     with pytest.raises(ParameterDomainError):
-        diag_power_sums(state, 5)
+        state.diag_power_sums(5)
 
 
 def test_projection_state_orthonormal_basis():
@@ -162,7 +166,7 @@ def test_rejects_more_rows_than_columns():
         girko_log_det(np.vstack([np.eye(3), np.eye(3)]))
 
 
-def test_trace_invariants_and_csv(tmp_path):
+def test_trace_invariants():
     x = fill_matrix(TailLaw.student_t(3.5), 20, 60, RngStream(10))
     trace = girko_log_det(self_normalize(x), record_bounds=True)
     assert np.max(np.abs(trace.u_part + trace.v_part - trace.z_tilde)) < 1e-10
@@ -172,12 +176,6 @@ def test_trace_invariants_and_csv(tmp_path):
     assert np.all(trace.diag_min >= -1e-12)
     assert np.all(trace.diag_max <= 1.0 / scale + 1e-12)
     assert np.all(trace.offdiag_max <= 0.5 / scale + 1e-12)
-
-    path = tmp_path / "trace.csv"
-    trace.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "step,z_tilde,u_part,v_part,s2,s3,s4"
-    assert len(lines) == 21
 
 
 def test_step_statistic_is_martingale_difference():

@@ -163,18 +163,6 @@ def test_mc_table_requires_reps():
         mc_moment_table(TailLaw.gaussian(), n=10, reps=100, rng=RngStream(3))
 
 
-def test_moment_table_json_round_trip():
-    t = uniform_sphere_table(5)
-    back = MomentTable.from_json(t.to_json())
-    assert back.n == 5
-    assert all(back.get(*k) == t.get(*k) for k in t.moments)
-
-    tab = mc_moment_table(TailLaw.gaussian(), n=8, reps=2000, rng=RngStream(4))
-    back = MomentTable.from_json(tab.to_json())
-    assert back.get(4) == tab.get(4)
-    assert back.se[(2, 2)] == tab.se[(2, 2)]
-
-
 # ---------------------------------------------------------------------------
 # weighted-sum moments
 # ---------------------------------------------------------------------------
@@ -312,7 +300,7 @@ def test_sphere_fourth_moment_vs_monte_carlo():
     n, i = 30, 5
     x = fill_matrix(TailLaw.gaussian(), i, n, RngStream(11))
     state = ProjectionState(n)
-    for row in self_normalize(x).values:
+    for row in self_normalize(x):
         state.absorb(row)
     a = state.q_diag()
     w = WeightVector(tuple(float(v) for v in a))

@@ -64,6 +64,21 @@ def test_config_validation(overrides):
         _config(**overrides)
 
 
+@pytest.mark.parametrize(
+    "extra, named",
+    [
+        ({"sead": 7, "outptus": {"csv_path": "x.csv"}}, ["outptus", "sead"]),
+        ({"outputs": {"csv": "x.csv"}}, ["outputs.csv"]),
+    ],
+)
+def test_config_rejects_unknown_keys(extra, named):
+    raw = _config().to_dict()
+    raw.update(extra)
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_dict(raw)
+    assert all(repr(key) in str(err.value) for key in named)
+
+
 def test_config_bad_file(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text("{not json")
@@ -215,6 +230,30 @@ def test_kde_silverman_bandwidth():
     dens = np.array(curve["density"])
     # density integrates to ~1 over the padded grid
     assert np.trapezoid(dens, grid) == pytest.approx(1.0, abs=0.01)
+
+
+def test_kde_blocks_match_dense_formula():
+    rng = np.random.default_rng(2)
+    x = rng.normal(size=300)
+    curve = sim.kde_curve(x)
+    bw = curve["bandwidth"]
+    grid = np.array(curve["grid"])
+    z = (grid[None, :] - x[:, None]) / bw
+    dense = np.exp(-0.5 * z * z).sum(axis=0) / (x.size * bw * math.sqrt(2.0 * math.pi))
+    assert curve["density"] == [float(d) for d in dense]
+
+
+def test_kde_memory_bounded():
+    import tracemalloc
+
+    x = np.random.default_rng(3).normal(size=50_000)
+    tracemalloc.start()
+    try:
+        sim.kde_curve(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20
 
 
 def test_svg_plot_deterministic():
