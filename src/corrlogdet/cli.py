@@ -155,7 +155,7 @@ def _cmd_plot(args) -> int:
     try:
         with open(args.in_path, "r", encoding="utf-8") as fh:
             report = ExperimentReport.from_json(fh.read())
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"cannot load report {args.in_path}: {exc}") from exc
     with open(args.out_path, "w", encoding="utf-8") as fh:
         fh.write(emit_plot(report))

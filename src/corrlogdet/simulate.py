@@ -14,19 +14,12 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
-try:
-    from threadpoolctl import threadpool_limits
-except ImportError:  # pragma: no cover
-
-    def threadpool_limits(*_args, **_kwargs):
-        return nullcontext()
-
+from .blas import single_blas_thread
 from .cltstats import KsResult, SummaryMoments, ks_test, standardize_corr, standardize_cov, summary_moments
 from .errors import ConfigError, NotPositiveDefiniteError, NumericalFailure
 from .matrices import DataMatrix, log_det_spd, sample_correlation, sample_covariance
@@ -131,7 +124,8 @@ class ExperimentReport:
     """Aggregated simulation output, JSON-serializable.
 
     ``statistics`` holds the standardized values in replication order with
-    NaN at flagged replications; summary statistics, the KS test, the
+    NaN at flagged replications; ``flags`` gives each flagged replication's
+    index and failing Cholesky pivot.  Summary statistics, the KS test, the
     histogram and the KDE curve are computed from the unflagged values.
     """
 
@@ -143,6 +137,7 @@ class ExperimentReport:
     ks: KsResult
     histogram: dict
     kde: dict
+    flags: list[dict] = field(default_factory=list)
     timing: dict = field(default_factory=dict)
 
     @property
@@ -159,6 +154,7 @@ class ExperimentReport:
             "ks": self.ks._asdict(),
             "histogram": self.histogram,
             "kde": self.kde,
+            "flags": self.flags,
             "timing": self.timing,
         }
         return json.dumps(payload, indent=2)
@@ -178,6 +174,7 @@ class ExperimentReport:
             ks=KsResult(**raw["ks"]),
             histogram=raw["histogram"],
             kde=raw["kde"],
+            flags=raw.get("flags", []),
             timing=raw.get("timing", {}),
         )
 
@@ -247,18 +244,19 @@ def kde_curve(x: np.ndarray, points: int = _KDE_POINTS) -> dict:
 def _replication_worker(config: ExperimentConfig, scale: float, fourth_moment: float):
     law, p, n = config.law, config.p, config.n
 
-    def run(rep: int) -> tuple[float, float, bool]:
+    def run(rep: int) -> tuple[float, float, int | None]:
+        """log det, standardized value and, on a failed Cholesky, its pivot."""
         stream = RngStream(config.seed, rep)
         x = fill_matrix(law, p, n, stream)
         try:
             if config.statistic == "corr_logdet":
                 logdet = log_det_spd(sample_correlation(x))
-                return logdet, standardize_corr(logdet, p, n), False
+                return logdet, standardize_corr(logdet, p, n), None
             scaled = DataMatrix(x.values / scale)
             logdet = log_det_spd(sample_covariance(scaled))
-            return logdet, standardize_cov(logdet, p, n, fourth_moment), False
-        except NotPositiveDefiniteError:
-            return math.nan, math.nan, True
+            return logdet, standardize_cov(logdet, p, n, fourth_moment), None
+        except NotPositiveDefiniteError as exc:
+            return math.nan, math.nan, exc.pivot
 
     return run
 
@@ -282,23 +280,22 @@ def run_simulation(config: ExperimentConfig) -> ExperimentReport:
     logdets = np.empty(config.reps)
     stats = np.empty(config.reps)
     flagged = np.zeros(config.reps, dtype=bool)
+    flags = []
 
     # Parallelism lives at the replication level; pinning the BLAS pool to
     # one thread avoids oversubscription and keeps every value bitwise
-    # independent of the scheduler.
+    # independent of the scheduler.  The pool's exit waits for running
+    # replications, also when one raises, so none outlives the pin.
     start = time.perf_counter()
-    with threadpool_limits(limits=1, user_api="blas"):
-        if workers == 1:
-            results = map(worker, range(config.reps))
-        else:
-            pool = ThreadPoolExecutor(max_workers=workers)
-            results = pool.map(worker, range(config.reps))
-        for rep, (logdet, stat, bad) in enumerate(results):
+    with single_blas_thread() as blas_threads, ThreadPoolExecutor(max_workers=workers) as pool:
+        reps = range(config.reps)
+        results = pool.map(worker, reps) if workers > 1 else map(worker, reps)
+        for rep, (logdet, stat, pivot) in enumerate(results):
             logdets[rep] = logdet
             stats[rep] = stat
-            flagged[rep] = bad
-        if workers != 1:
-            pool.shutdown()
+            if pivot is not None:
+                flagged[rep] = True
+                flags.append({"rep": rep, "pivot": pivot})
     wall = time.perf_counter() - start
 
     if np.mean(flagged) > _FLAG_BUDGET:
@@ -318,10 +315,12 @@ def run_simulation(config: ExperimentConfig) -> ExperimentReport:
         ks=ks_test(good),
         histogram=freedman_diaconis_histogram(good),
         kde=kde_curve(good),
+        flags=flags,
         timing={
             "wall_seconds": wall,
             "per_replication_seconds": wall / config.reps,
             "threads": workers,
+            "blas_threads": blas_threads,
         },
     )
     return report

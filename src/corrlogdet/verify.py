@@ -8,19 +8,12 @@ the projector entry bounds.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-try:
-    from threadpoolctl import threadpool_limits
-except ImportError:  # pragma: no cover
-
-    def threadpool_limits(*_args, **_kwargs):
-        return nullcontext()
-
+from .blas import single_blas_thread
 from .errors import ParameterDomainError
 from .girko import girko_log_det
 from .matrices import log_det_spd, sample_correlation, self_normalize
@@ -276,7 +269,7 @@ def verify_girko(
         ratio = float(rng.uniform(0.1, 0.9))
         n = max(p + 1, int(round(p / ratio)))
 
-        with threadpool_limits(limits=1, user_api="blas"):
+        with single_blas_thread():
             x = fill_matrix(law, p, n, RngStream(seed, case))
             y = self_normalize(x)
             chol = log_det_spd(sample_correlation(x))

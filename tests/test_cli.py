@@ -146,3 +146,18 @@ def test_plot_round_trip(tmp_path, config_file):
 
 def test_plot_missing_report(tmp_path):
     assert main(["plot", "--in", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x.svg")]) == 2
+
+
+@pytest.mark.parametrize("mangle", ["not_a_report", "unknown_summary_key"])
+def test_plot_malformed_report_exits_2(tmp_path, config_file, capsys, mangle):
+    json_path = tmp_path / "report.json"
+    assert main(["simulate", "--config", str(config_file), "--out-json", str(json_path)]) == 0
+    if mangle == "not_a_report":
+        json_path.write_text("[]")
+    else:
+        raw = json.loads(json_path.read_text())
+        raw["summary"]["median"] = 0.0
+        json_path.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert main(["plot", "--in", str(json_path), "--out", str(tmp_path / "x.svg")]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot load report")

@@ -1,10 +1,16 @@
+import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import corrlogdet
 import corrlogdet.simulate as sim
+from corrlogdet import blas
 from corrlogdet import (
     ConfigError,
     ExperimentConfig,
@@ -264,3 +270,98 @@ def test_svg_plot_deterministic():
     assert svg.startswith("<svg ")
     assert "polyline" in svg and "</svg>" in svg
     assert svg == emit_plot(ExperimentReport.from_json(report.to_json()))
+
+
+def test_statistics_csv_independent_of_openblas_threads(tmp_path):
+    # the OpenBLAS start-up thread count must not reach the values: each
+    # run pins BLAS to one thread itself
+    src = os.path.dirname(os.path.dirname(corrlogdet.__file__))
+    script = (
+        "import sys\n"
+        "from corrlogdet import ExperimentConfig, TailLaw, run_simulation, statistics_csv\n"
+        "cfg = ExperimentConfig(law=TailLaw.gaussian(), p=100, n=400, reps=200, seed=0,\n"
+        "                       statistic='cov_logdet', parallelism=1)\n"
+        "open(sys.argv[1], 'w').write(statistics_csv(run_simulation(cfg)))\n"
+    )
+    texts = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env.pop("THREADS", None)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / f"stats_{threads}.csv"
+        subprocess.run([sys.executable, "-c", script, str(out)], env=env, check=True, timeout=300)
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1]
+
+
+def _blas_thread_counts():
+    return {name: getter() for name, _, getter in blas._thread_controls()[0]}
+
+
+def test_blas_threads_pinned_and_restored(monkeypatch):
+    controls = blas._thread_controls()[0]
+    assert controls, "no OpenBLAS thread setter found"
+    before = _blas_thread_counts()
+    for _, setter, _ in controls:
+        setter(2)
+    try:
+        report = run_simulation(_config(reps=20))
+        assert report.timing["blas_threads"] == {name: 1 for name in before}
+        assert set(_blas_thread_counts().values()) == {2}
+
+        real = sim.log_det_spd
+        seen = []
+        calls = itertools.count()
+
+        def failing(m):
+            seen.append(_blas_thread_counts())
+            if next(calls) == 4:
+                raise RuntimeError("replication failed")
+            return real(m)
+
+        monkeypatch.setattr(sim, "log_det_spd", failing)
+        with pytest.raises(RuntimeError, match="replication failed"):
+            run_simulation(_config(reps=20, parallelism=2))
+        assert all(set(counts.values()) == {1} for counts in seen)
+        assert set(_blas_thread_counts().values()) == {2}
+    finally:
+        for name, setter, _ in controls:
+            setter(before[name])
+
+
+@pytest.mark.parametrize("missing", [[], ["libopenblas_nosetter.so"]])
+def test_unpinnable_blas_warns_and_runs(monkeypatch, missing):
+    monkeypatch.setattr(blas, "_thread_controls", lambda: ([], missing))
+    with pytest.warns(RuntimeWarning, match="cannot pin BLAS") as record:
+        report = run_simulation(_config(reps=30))
+    assert len(record) == 1
+    assert all(name in str(record[0].message) for name in missing)
+    assert len(report.statistics) == 30
+    assert report.timing["blas_threads"] == {}
+
+
+def test_flagged_replication_keeps_its_pivot(monkeypatch):
+    monkeypatch.delenv("THREADS", raising=False)
+    real = sim.log_det_spd
+    calls = {"count": 0}
+
+    def fails_once(m):
+        calls["count"] += 1
+        if calls["count"] == 412:
+            raise NotPositiveDefiniteError(pivot=17)
+        return real(m)
+
+    monkeypatch.setattr(sim, "log_det_spd", fails_once)
+    report = run_simulation(_config(reps=1000, parallelism=1))
+    assert report.flags == [{"rep": 411, "pivot": 17}]
+    assert np.flatnonzero(report.flagged).tolist() == [411]
+    assert statistics_csv(report).splitlines()[412] == "411,nan,nan,1"
+
+    raw = json.loads(report.to_json())
+    assert raw["flags"] == [{"rep": 411, "pivot": 17}]
+    assert ExperimentReport.from_json(report.to_json()).flags == report.flags
+    # reports written before the field existed still load
+    del raw["flags"]
+    old = ExperimentReport.from_json(json.dumps(raw))
+    assert old.flags == []
+    assert old.n_flagged == 1
