@@ -26,8 +26,12 @@ class DataMatrix:
         v = np.ascontiguousarray(np.asarray(self.values, dtype=float))
         if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
             raise ParameterDomainError("data matrix must be 2-D and nonempty")
-        if not np.all(np.isfinite(v)):
-            raise ParameterDomainError("data matrix entries must be finite")
+        finite = np.isfinite(v)
+        if not finite.all():
+            i, j = np.unravel_index(np.argmin(finite), v.shape)
+            raise ParameterDomainError(
+                f"data matrix entries must be finite; row {i}, column {j} is {v[i, j]}"
+            )
         object.__setattr__(self, "values", v)
 
     @property

@@ -38,7 +38,7 @@ from .errors import (
     ParameterDomainError,
     ResourceError,
 )
-from .sampling import RngStream, TailLaw, _draws_per_entry, _transform
+from .sampling import RngStream, TailLaw, _draw
 
 Number = float | Fraction
 
@@ -611,14 +611,15 @@ def mc_moment_batches(
     """Batch means of the sphere-moment estimators over ``reps`` rows.
 
     Rows are self-normalized draws ``Y = X / |X|`` with ``X`` i.i.d. from
-    ``law``; batch ``b`` uses the derived substream ``rng.generator(b)``.
-    Returns, per moment key, the array of ``batches`` batch means.
+    ``law``; batch ``b`` draws its rows, chunk by chunk, from the derived
+    substream ``rng.generator(b)`` through the same per-law sampler as
+    ``fill_matrix``.  Returns, per moment key, the array of ``batches``
+    batch means.
     """
     if n < 4:
         raise ParameterDomainError("need n >= 4 for the quadruple moments")
     if reps < batches:
         raise ParameterDomainError("need at least one replication per batch")
-    draws = _draws_per_entry(law)
     rows_per_chunk = max(1, max_chunk_entries // n)
     out = {key: np.empty(batches) for key in ALL_KEYS}
     base = reps // batches
@@ -630,8 +631,7 @@ def mc_moment_batches(
         done = 0
         while done < m_batch:
             m = min(rows_per_chunk, m_batch - done)
-            u = gen.random((draws, m, n))
-            x = _transform(law, u)
+            x = _draw(law, gen, (m, n))
             norms_sq = np.einsum("ij,ij->i", x, x)
             if not np.all(norms_sq > 0.0):
                 raise DegenerateInputError("zero row encountered in Monte Carlo draw")

@@ -7,9 +7,12 @@ zero by subtracting its population mean).  Each family carries its tail
 index and, where the tail is asymptotically ``c * x**-alpha``, the
 constant ``c``.
 
-Every draw consumes a fixed number of uniforms from a counter-derived
-substream, so entry ``(i, j)`` of a generated matrix is a pure function
-of ``(master_seed, stream_id, i, j)`` regardless of traversal order.
+Each matrix row draws from its own derived substream, so row ``i`` is a
+pure function of ``(master_seed, stream_id, i)`` regardless of traversal
+order.  The symmetric laws map a fixed number of uniforms per entry, so
+each entry sits at a fixed offset of its row's uniform stream; inverse
+gamma divides the scale by ``Generator.standard_gamma`` variates
+(Marsaglia-Tsang rejection), so only its rows are addressable.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from .matrices import DataMatrix
 
 _MASK64 = (1 << 64) - 1
 
-# Entries of a row are generated on the grid {k * 2**-53}; remapping the
-# measure-zero draw u == 0 keeps quantile transforms inside (0, 1).
+# Uniforms lie on the grid {k * 2**-53}; remapping the measure-zero draw
+# u == 0 keeps the normal quantile transform finite.
 _OPEN_EPS = 2.0**-53
 
 _FAMILIES = ("gaussian", "student_t", "symmetric_pareto", "inverse_gamma")
@@ -243,56 +246,46 @@ def _open01(u: np.ndarray) -> np.ndarray:
     return np.where(u == 0.0, _OPEN_EPS, u)
 
 
-def _transform(law: TailLaw, uniforms: np.ndarray) -> np.ndarray:
-    """Map uniforms (shape ``(draws_per_entry, m)``) to ``m`` entries."""
+def _draw(law: TailLaw, gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Array of i.i.d. entries of ``law`` with the given shape, drawn from ``gen``."""
+    if law.family == "inverse_gamma":
+        x = law.scale / gen.standard_gamma(law.shape, shape)
+        if law.centered:
+            x = x - law.scale / (law.shape - 1.0)
+        return x
+    u = gen.random((2 if law.family == "student_t" else 1,) + shape)
     if law.family == "gaussian":
-        return special.ndtri(_open01(uniforms[0]))
+        return special.ndtri(_open01(u[0]))
     if law.family == "student_t":
         # Polar representation of the bivariate t: radius from one uniform,
         # angle from the other; the marginal is exactly Student-t.
         df = law.df
-        u1 = 1.0 - uniforms[0]
-        radius = np.sqrt(df * (u1 ** (-2.0 / df) - 1.0))
-        return radius * np.cos(2.0 * np.pi * uniforms[1])
-    if law.family == "symmetric_pareto":
-        v = 2.0 * uniforms[0] - 1.0
-        v = np.where(v == 0.0, 1.0, v)
-        return np.sign(v) * np.abs(v) ** (-1.0 / law.alpha)
-    y = special.gammaincinv(law.shape, _open01(uniforms[0]))
-    x = law.scale / y
-    if law.centered:
-        x = x - law.scale / (law.shape - 1.0)
-    return x
-
-
-def _draws_per_entry(law: TailLaw) -> int:
-    return 2 if law.family == "student_t" else 1
+        radius = np.sqrt(df * ((1.0 - u[0]) ** (-2.0 / df) - 1.0))
+        return radius * np.cos(2.0 * np.pi * u[1])
+    v = 2.0 * u[0] - 1.0
+    v = np.where(v == 0.0, 1.0, v)
+    return np.sign(v) * np.abs(v) ** (-1.0 / law.alpha)
 
 
 def sample_entries(law: TailLaw, rng: RngStream, count: int) -> np.ndarray:
     """Vector of ``count`` i.i.d. draws; a pure function of ``(law, rng, count)``."""
     if count < 0:
         raise ParameterDomainError("count must be nonnegative")
-    gen = rng.generator()
-    u = gen.random((_draws_per_entry(law), count))
-    return _transform(law, u)
+    return _draw(law, rng.generator(), (count,))
 
 
 def fill_matrix(law: TailLaw, p: int, n: int, rng: RngStream) -> DataMatrix:
     """p-by-n matrix of i.i.d. draws with per-row derived substreams.
 
-    Row ``i`` uses the spawned child stream ``i`` of ``rng`` and a fixed
-    number of uniforms per entry, so entry (i, j) is a pure function of
-    ``(master_seed, stream_id, i, j)`` and any submatrix can be
-    regenerated independently of traversal order.
+    Row ``i`` uses the spawned child stream ``i`` of ``rng``, so it is a
+    pure function of ``(master_seed, stream_id, i)`` and any set of rows
+    can be regenerated independently of traversal order.
     """
     if p < 1 or n < 1:
         raise ParameterDomainError("matrix dimensions must be >= 1")
     if p * n > _MAX_ENTRIES:
         raise ResourceError(f"refusing to allocate {p}x{n} matrix")
-    k = _draws_per_entry(law)
     out = np.empty((p, n))
     for i, gen in enumerate(rng.spawn_generators(p)):
-        u = gen.random((k, n))
-        out[i] = _transform(law, u)
+        out[i] = _draw(law, gen, (n,))
     return DataMatrix(out)

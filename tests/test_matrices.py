@@ -160,3 +160,11 @@ def test_data_matrix_validation():
         DataMatrix(np.array([1.0, 2.0]))
     with pytest.raises(ParameterDomainError):
         DataMatrix(np.array([[np.inf, 1.0]]))
+
+
+def test_data_matrix_names_first_non_finite_entry():
+    v = np.ones((3, 4))
+    v[1, 2] = np.nan
+    v[2, 0] = -np.inf
+    with pytest.raises(ParameterDomainError, match=r"row 1, column 2 is nan"):
+        DataMatrix(v)

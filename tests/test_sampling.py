@@ -1,4 +1,6 @@
+import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +14,15 @@ from corrlogdet import (
     fill_matrix,
     sample_entries,
 )
+from corrlogdet.moments import mc_moment_batches
+from corrlogdet.sampling import _draw
+
+ALL_LAWS = [
+    TailLaw.gaussian(),
+    TailLaw.student_t(3.5),
+    TailLaw.symmetric_pareto(3.5),
+    TailLaw.inverse_gamma(3.5, 2.0),
+]
 
 
 def test_fill_matrix_deterministic():
@@ -21,12 +32,50 @@ def test_fill_matrix_deterministic():
     assert np.array_equal(a.values, b.values)
 
 
-def test_fill_matrix_rows_independent_of_shape():
+@pytest.mark.parametrize("law", ALL_LAWS, ids=lambda law: law.family)
+def test_fill_matrix_rows_independent_of_shape(law):
     # row i is a pure function of (seed, stream, i), not of p
-    law = TailLaw.student_t(3.5)
     big = fill_matrix(law, 5, 16, RngStream(3, 1))
     small = fill_matrix(law, 3, 16, RngStream(3, 1))
     assert np.array_equal(big.values[:3], small.values)
+
+
+def _sha256(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+# SHA-256 of fill_matrix (7x13), sample_entries (257) and mc_moment_batches
+# (n=6, chunks of 4 rows) for the laws drawn through uniform transforms;
+# a change to these bits changes every simulation of these laws.
+PINNED_DIGESTS = {
+    "gaussian": (
+        "642362744c3954f40dad4a85c4ad3e26b49cfc58779ed156bc809bbf875984c4",
+        "6cec9c591ea1b55cad6a99158dde96bfbe0e6b37eab105ee3babf136e03bc53c",
+        "a3c79241bdc2e24162308a3a6220ef01903d96d9b29ebc3958e96b9424a8c941",
+    ),
+    "student_t": (
+        "12abb111f448e98672af7e3f70f21949b76bcaf83dc270e7604f7317465eaf02",
+        "2871e5ef155de35a9a3968ac014d89194d77c8c7c23c9dca3e62f8d8170234cd",
+        "b01d55eff97fa3e828dc7037b3df5438430de341ad3592344c6e8f6acbdb4bd8",
+    ),
+    "symmetric_pareto": (
+        "1b4566f2a5b12e652ef4d319adf7f473ed9a15c44ee4e5fe84b39f557c497a17",
+        "88b8ebfbeaf041603ae298a162adcb1e7f25800037a6b94c4d44272005f8f827",
+        "bf5d0390b5c508534255190396176c0bff0e6c4750bcde6a5634db31b3da46cd",
+    ),
+}
+
+
+@pytest.mark.parametrize("law", ALL_LAWS[:3], ids=lambda law: law.family)
+def test_symmetric_law_bits_pinned(law):
+    fill = fill_matrix(law, 7, 13, RngStream(21, 4)).values
+    entries = sample_entries(law, RngStream(21, 5), 257)
+    batches = mc_moment_batches(law, 6, 40, RngStream(21, 6), batches=4, max_chunk_entries=24)
+    digests = (_sha256([fill]), _sha256([entries]), _sha256([batches[k] for k in sorted(batches)]))
+    assert digests == PINNED_DIGESTS[law.family]
 
 
 def test_distinct_streams_differ():
@@ -66,6 +115,24 @@ def test_inverse_gamma_distribution():
     law = TailLaw.inverse_gamma(3.5, 2.0, centered=False)
     x = sample_entries(law, RngStream(103), 2 * 10**5)
     assert stats.kstest(x, stats.invgamma(3.5, scale=2.0).cdf).pvalue > 0.001
+
+
+def test_centered_inverse_gamma_fill_matrix_distribution():
+    x = fill_matrix(TailLaw.inverse_gamma(3.5, 2.0), 200, 1000, RngStream(111))
+    shifted = stats.invgamma(3.5, loc=-2.0 / 2.5, scale=2.0)
+    assert stats.kstest(x.values.ravel(), shifted.cdf).pvalue > 0.001
+
+
+def test_non_finite_draw_names_its_entry():
+    # P(Gamma(0.01) < 5e-324) is about 6e-4, so standard_gamma underflows
+    # to 0 and scale / 0 = inf appears among these 80,000 entries
+    law = TailLaw.inverse_gamma(0.01, 1.0, centered=False)
+    with np.errstate(divide="ignore", over="ignore"):
+        with pytest.raises(ParameterDomainError) as err:
+            fill_matrix(law, 200, 400, RngStream(0))
+        rows = [_draw(law, gen, (400,)) for gen in RngStream(0).spawn_generators(200)]
+    i, j = np.argwhere(~np.isfinite(np.vstack(rows)))[0]
+    assert re.search(rf"row {i}, column {j} is inf\b", str(err.value))
 
 
 def test_pareto_survival_exact():
