@@ -49,15 +49,13 @@ from .moments import (
     permutation_oracle,
     quadratic_form_moments,
     sphere_identity_residuals,
-    uniform_sphere_table,
 )
-from .sampling import RngStream, TailLaw, fill_matrix, sample_entries
+from .sampling import RngStream, TailLaw, fill_matrix
 from .simulate import ExperimentConfig, ExperimentReport, run_simulation, statistics_csv
 from .tail_limits import (
     MomentLimitQuery,
     convergence_diagnostic,
     moment_limit,
-    moment_limit_single,
     standardized_tail_constant,
 )
 

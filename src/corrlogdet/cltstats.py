@@ -30,13 +30,18 @@ def _check_shape(p: int, n: int) -> None:
         raise ParameterDomainError(f"need 0 < p < n, got p={p}, n={n}")
 
 
+def _c_n(p: int, n: int) -> float:
+    """Combinatorial constant ``c_n = sum_{j<p} log(1 - j/n)`` of the
+    sequential decomposition; defined for ``p <= n``."""
+    return float(np.sum(np.log1p(-np.arange(p) / n)))
+
+
 @dataclass(frozen=True)
 class LawConstants:
     """All deterministic constants of the correlation log-det law at (p, n)."""
 
     p: int
     n: int
-    gamma_hat: float
     mu_n: float
     sigma2_n: float
     c_n: float
@@ -47,8 +52,7 @@ def law_constants(p: int, n: int) -> LawConstants:
     ratio = p / n
     mu = (p - n + 0.5) * math.log1p(-ratio) - p + ratio
     sigma2 = -2.0 * math.log1p(-ratio) - 2.0 * ratio
-    c_n = float(np.sum(np.log1p(-np.arange(p) / n)))
-    return LawConstants(p=p, n=n, gamma_hat=ratio, mu_n=mu, sigma2_n=sigma2, c_n=c_n)
+    return LawConstants(p=p, n=n, mu_n=mu, sigma2_n=sigma2, c_n=_c_n(p, n))
 
 
 def standardize_corr(logdet_r: float, p: int, n: int) -> float:
@@ -86,16 +90,14 @@ def stirling_gap(p: int, n: int) -> float:
     aggregated step variance; it is O(1/n) at a fixed aspect ratio.
     """
     _check_shape(p, n)
-    ratio = p / n
-    tail = float(np.sum(np.log1p(-np.arange(1, p) / n)))
-    return (p - n - 0.5) * math.log1p(-ratio) - p - tail
+    return (p - n - 0.5) * math.log1p(-p / n) - p - _c_n(p, n)
 
 
-def kolmogorov_sf(lam: float, rel_tol: float = 1e-10) -> float:
+def kolmogorov_sf(lam: float) -> float:
     """Survival function of the Kolmogorov distribution.
 
     Alternating series ``2 * sum_{j>=1} (-1)^(j-1) exp(-2 j^2 lam^2)``,
-    truncated once the next term is below ``rel_tol`` relative to the sum.
+    truncated once the next term is below ``1e-10`` relative to the sum.
     """
     if lam <= 0.0:
         return 1.0
@@ -104,7 +106,7 @@ def kolmogorov_sf(lam: float, rel_tol: float = 1e-10) -> float:
     for j in range(1, 1001):
         term = math.exp(-2.0 * j * j * lam * lam)
         total += sign * term
-        if term <= rel_tol * max(total, 1e-300):
+        if term <= 1e-10 * max(total, 1e-300):
             break
         sign = -sign
     return min(1.0, max(0.0, 2.0 * total))
@@ -165,14 +167,14 @@ def _moments_of(x: np.ndarray) -> tuple[float, float, float, float]:
     return mean, variance, skew, kurt
 
 
-def summary_moments(samples: Sequence[float], batches: int = 16) -> SummaryMoments:
+def summary_moments(samples: Sequence[float]) -> SummaryMoments:
     """Unbiased-style mean/variance/skewness/excess-kurtosis estimates with
-    batch-means standard errors."""
+    standard errors from up to 16 batch means."""
     x = np.asarray(samples, dtype=float)
     if x.size < 8:
         raise ParameterDomainError("summary moments need at least 8 samples")
     mean, variance, skew, kurt = _moments_of(x)
-    b = max(2, min(batches, x.size // 4))
+    b = max(2, min(16, x.size // 4))
     splits = np.array_split(x, b)
     stats = np.array([_moments_of(chunk) for chunk in splits])
     se = np.std(stats, axis=0, ddof=1) / math.sqrt(b)

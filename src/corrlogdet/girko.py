@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cltstats import _c_n
 from .errors import ParameterDomainError, SingularStepError
 
 _REORTH_TOL = 1e-10
@@ -84,18 +85,10 @@ class ProjectionState:
         """Diagonal of the unit-trace complement projector Q_i."""
         return (1.0 - self._diag_load) / self.scale
 
-    def diag_power_sums(self, max_j: int = 4) -> tuple[float, ...]:
-        """Power sums ``sum_k q_kk^j`` for j = 1..max_j (max_j <= 4)."""
-        if not 1 <= max_j <= 4:
-            raise ParameterDomainError("diagonal power sums support 1 <= max_j <= 4")
+    def diag_power_sums(self) -> tuple[float, ...]:
+        """Power sums ``sum_k q_kk^j`` for j = 1..4."""
         qd = self.q_diag()
-        return tuple(float(np.sum(qd**j)) for j in range(1, max_j + 1))
-
-    def dense_q(self) -> np.ndarray:
-        """Materialized Q_i (debug/audit path, O(n^2) memory)."""
-        b = self.basis()
-        p_mat = np.eye(self.n) - b.T @ b
-        return p_mat / self.scale
+        return tuple(float(np.sum(qd**j)) for j in range(1, 5))
 
     def absorb(self, y: np.ndarray) -> float:
         """Add a row to the span; returns its squared residual norm."""
@@ -149,7 +142,6 @@ def girko_log_det(y: np.ndarray, record_bounds: bool = False) -> GirkoTrace:
     p, n = rows.shape
     if not p <= n:
         raise ParameterDomainError("recursion requires p <= n")
-    c_n = float(np.sum(np.log1p(-np.arange(p) / n)))
 
     state = ProjectionState(n, capacity=p)
     z = np.empty(p)
@@ -169,7 +161,7 @@ def girko_log_det(y: np.ndarray, record_bounds: bool = False) -> GirkoTrace:
         ysq = float(row @ row)
         load_y = float(state._diag_load @ (row * row))
         u[i] = (n * (ysq - load_y) - m) / m
-        sums[i] = state.diag_power_sums(4)
+        sums[i] = state.diag_power_sums()
 
         if record_bounds:
             # dense holds the unscaled projector P_i; bounds are checked on
@@ -196,7 +188,7 @@ def girko_log_det(y: np.ndarray, record_bounds: bool = False) -> GirkoTrace:
     return GirkoTrace(
         p=p,
         n=n,
-        c_n=c_n,
+        c_n=_c_n(p, n),
         z_tilde=z,
         u_part=u,
         v_part=v,

@@ -189,32 +189,6 @@ def sphere_identity_residuals(table: MomentTable) -> dict[str, Number]:
     }
 
 
-def uniform_sphere_table(n: int, exact: bool = True) -> MomentTable:
-    """Moments of a uniform point on the sphere (normalized Gaussian row).
-
-    The squared coordinates are jointly Dirichlet(1/2, ..., 1/2), so
-    ``E[prod (Z_i^2)^{k_i}] = prod rising(1/2, k_i) / rising(n/2, sum k)``.
-    """
-    if n < 4:
-        raise ParameterDomainError("need n >= 4 for all half-degree 4 moments")
-
-    def rising(x: Fraction, k: int) -> Fraction:
-        out = Fraction(1)
-        for j in range(k):
-            out *= x + j
-        return out
-
-    moments: dict[tuple[int, ...], Number] = {}
-    for key in ALL_KEYS:
-        halves = [e // 2 for e in key]
-        value = Fraction(1)
-        for k in halves:
-            value *= rising(Fraction(1, 2), k)
-        value /= rising(Fraction(n, 2), sum(halves))
-        moments[key] = value if exact else float(value)
-    return MomentTable(n=n, moments=moments)
-
-
 @dataclass(frozen=True)
 class WeightVector:
     """Weights summing to one, with cached power sums ``S_j = sum a_k^j``."""
@@ -288,22 +262,6 @@ def k_coefficients(s2: Number, s3: Number, s4: Number, n: int) -> KCoefficients:
     return KCoefficients(constant, c44, c22, c222, c2222)
 
 
-def second_moment_raw(w: WeightVector, t: MomentTable) -> Number:
-    """``E[(sum a_k Z_k^2)^2]`` for exchangeable Z and weights summing to 1."""
-    return t.get(4) * w.s2 + t.get(2, 2) * (1 - w.s2)
-
-
-def third_moment_raw(w: WeightVector, t: MomentTable) -> Number:
-    """``E[(sum a_k Z_k^2)^3]``, expanded over index coincidence patterns."""
-    b6, b42, b222 = t.get(6), t.get(4, 2), t.get(2, 2, 2)
-    s2, s3 = w.s2, w.s3
-    return (
-        b222 * (1 + 6 * s2 + 8 * s3)
-        + (b6 - 15 * b42 + 30 * b222) * s3
-        + (b42 - 3 * b222) * (3 * s2 + 12 * s3)
-    )
-
-
 def fourth_moment_raw(w: WeightVector, t: MomentTable) -> Number:
     """``E[(sum a_k Z_k^2)^4]``, expanded over index coincidence patterns."""
     t.require(_DEGREE4_KEYS)
@@ -341,19 +299,18 @@ def fourth_moment_centered(w: WeightVector, t: MomentTable) -> Number:
     )
 
 
-def fourth_moment_sphere(w: WeightVector, t: MomentTable, check: bool = True) -> Number:
+def fourth_moment_sphere(w: WeightVector, t: MomentTable) -> Number:
     """``E[(sum a_k (n Z_k^2 - 1))^4]`` via the zero-sum coefficient form.
 
-    Only valid for unit-sphere tables; by default the table is checked
-    against the sphere identities first.
+    Only valid for unit-sphere tables; the table is checked against the
+    sphere identities first.
     """
-    if check:
-        residuals = sphere_identity_residuals(t)
-        worst = max(abs(float(v)) for v in residuals.values())
-        if worst > _SPHERE_TOL:
-            raise InconsistentTableError(
-                f"table violates sphere identities (residual {worst:.3e})"
-            )
+    residuals = sphere_identity_residuals(t)
+    worst = max(abs(float(v)) for v in residuals.values())
+    if worst > _SPHERE_TOL:
+        raise InconsistentTableError(
+            f"table violates sphere identities (residual {worst:.3e})"
+        )
     n = t.n
     k = k_coefficients(w.s2, w.s3, w.s4, n)
     return (
@@ -427,45 +384,27 @@ def quadratic_form_moments(
     return QuadraticFormMoments(third_central, third_raw, cross_second)
 
 
-def _partition_keys(degree: int, max_parts: int) -> list[tuple[int, ...]]:
-    keys: list[tuple[int, ...]] = []
-
-    def extend(prefix: list[int], remaining: int, cap: int):
-        if prefix:
-            keys.append(tuple(2 * k for k in prefix))
-        if len(prefix) == max_parts:
-            return
-        for k in range(min(cap, remaining), 0, -1):
-            extend(prefix + [k], remaining - k, k)
-
-    extend([], degree, degree)
-    return keys
-
-
-def permutation_oracle(z: Sequence[Number], degree: int = 4) -> MomentTable:
+def permutation_oracle(z: Sequence[Number]) -> MomentTable:
     """Exact moment table of Z uniform over (signed) permutations of ``z``.
 
     The law is exchangeable and sign-symmetric with
     ``sum Z_k^2 = |z|^2``; normalize ``z`` to unit norm to obtain a
     sphere table.  Even moments do not depend on the signs, so the
     enumeration runs over the n! permutations; values are exact when the
-    entries of ``z`` are rational.  ``degree`` caps the total half-degree
-    of tabulated keys.  Keys with more distinct indices than coordinates
+    entries of ``z`` are rational.  Every key of half-degree <= 4 is
+    tabulated; keys with more distinct indices than coordinates
     have empty support and are stored as exact zeros (every identity
     multiplies them by a coefficient that vanishes there).
     """
     n = len(z)
     if n < 1 or n > _MAX_ORACLE_N:
         raise ResourceError(f"enumeration oracle supports 1 <= n <= {_MAX_ORACLE_N}")
-    if not 1 <= degree <= _MAX_ORACLE_DEGREE:
-        raise ResourceError(f"oracle degree must be in [1, {_MAX_ORACLE_DEGREE}]")
     z2 = [v * v for v in z]
     one = _one_like(z2)
-    pows = [[one] + [v**k for k in range(1, degree + 1)] for v in z2]
-    all_keys = _partition_keys(degree, degree)
-    keys = [k for k in all_keys if len(k) <= n]
+    pows = [[one] + [v**k for k in range(1, 5)] for v in z2]
+    keys = [k for k in ALL_KEYS if len(k) <= n]
     halves = {key: tuple(e // 2 for e in key) for key in keys}
-    totals = {key: 0 * one for key in keys}
+    totals = {key: 0 * one for key in ALL_KEYS}
     count = 0
     for perm in itertools.permutations(range(n)):
         count += 1
@@ -474,11 +413,7 @@ def permutation_oracle(z: Sequence[Number], degree: int = 4) -> MomentTable:
             for slot, k in enumerate(halves[key]):
                 value = value * pows[perm[slot]][k]
             totals[key] += value
-    moments = {key: totals[key] / count for key in keys}
-    for key in all_keys:
-        if len(key) > n:
-            moments[key] = 0 * one
-    return MomentTable(n=n, moments=moments)
+    return MomentTable(n=n, moments={key: total / count for key, total in totals.items()})
 
 
 def enumerated_weighted_power(
@@ -543,7 +478,7 @@ def enumerated_quadratic_form_moments(a_mat, b_mat, z: Sequence[Number]) -> Quad
     return QuadraticFormMoments(third_central, m3, cross)
 
 
-def rational_unit_vector(n: int, rng: np.random.Generator, span: int = 9) -> tuple[Fraction, ...]:
+def rational_unit_vector(n: int, rng: np.random.Generator) -> tuple[Fraction, ...]:
     """Random rational point on the unit sphere, exact norm one.
 
     Stereographic image of a random rational vector: for v in Q^{n-1},
@@ -552,7 +487,7 @@ def rational_unit_vector(n: int, rng: np.random.Generator, span: int = 9) -> tup
     if n < 2:
         raise ParameterDomainError("need n >= 2")
     v = [
-        Fraction(int(rng.integers(-span, span + 1)), int(rng.integers(1, 7)))
+        Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 7)))
         for _ in range(n - 1)
     ]
     s = sum(x * x for x in v)
@@ -560,9 +495,9 @@ def rational_unit_vector(n: int, rng: np.random.Generator, span: int = 9) -> tup
     return tuple([2 * x / denom for x in v] + [(s - 1) / denom])
 
 
-def rational_weights(n: int, rng: np.random.Generator, span: int = 9) -> WeightVector:
+def rational_weights(n: int, rng: np.random.Generator) -> WeightVector:
     """Random rational weights summing to one, exact."""
-    raw = [Fraction(int(rng.integers(1, span + 1)), int(rng.integers(1, 7))) for _ in range(n)]
+    raw = [Fraction(int(rng.integers(1, 10)), int(rng.integers(1, 7))) for _ in range(n)]
     return WeightVector.normalized(raw)
 
 
@@ -644,9 +579,7 @@ def mc_moment_batches(
     return out
 
 
-def mc_moment_table(
-    law: TailLaw, n: int, reps: int, rng: RngStream, batches: int = 16
-) -> MomentTable:
+def mc_moment_table(law: TailLaw, n: int, reps: int, rng: RngStream) -> MomentTable:
     """Monte Carlo sphere table with batch-means standard errors.
 
     ``(2,)`` is pinned to exactly ``1/n`` (the sphere constraint makes the
@@ -654,12 +587,12 @@ def mc_moment_table(
     """
     if reps < 1000:
         raise ParameterDomainError("moment estimation needs reps >= 1000")
-    batch_means = mc_moment_batches(law, n, reps, rng, batches=batches)
+    batch_means = mc_moment_batches(law, n, reps, rng)
     moments: dict[tuple[int, ...], Number] = {}
     se: dict[tuple[int, ...], float] = {}
     for key, means in batch_means.items():
         moments[key] = float(np.mean(means))
-        se[key] = float(np.std(means, ddof=1) / math.sqrt(batches))
+        se[key] = float(np.std(means, ddof=1) / math.sqrt(means.size))
     moments[(2,)] = 1.0 / n
     se[(2,)] = 0.0
     return MomentTable(n=n, moments=moments, se=se)

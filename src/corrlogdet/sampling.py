@@ -100,10 +100,6 @@ class TailLaw:
         return self.shape
 
     @property
-    def symmetric(self) -> bool:
-        return self.family != "inverse_gamma"
-
-    @property
     def sv_constant(self) -> float | None:
         """Limit of ``P(|X| > x) * x**tail_index``, when it exists.
 
@@ -199,10 +195,11 @@ class TailLaw:
         elif family == "symmetric_pareto":
             law = cls.symmetric_pareto(cfg.pop("alpha", None) or 0.0)
         elif family == "inverse_gamma":
+            centered = cfg.pop("centered", True)
+            if not isinstance(centered, bool):
+                raise ParameterDomainError(f"centered must be true or false, got {centered!r}")
             law = cls.inverse_gamma(
-                cfg.pop("shape", None) or 0.0,
-                cfg.pop("scale", None) or 0.0,
-                bool(cfg.pop("centered", True)),
+                cfg.pop("shape", None) or 0.0, cfg.pop("scale", None) or 0.0, centered
             )
         else:
             raise ParameterDomainError(f"unknown family {family!r}")
@@ -265,13 +262,6 @@ def _draw(law: TailLaw, gen: np.random.Generator, shape: tuple[int, ...]) -> np.
     v = 2.0 * u[0] - 1.0
     v = np.where(v == 0.0, 1.0, v)
     return np.sign(v) * np.abs(v) ** (-1.0 / law.alpha)
-
-
-def sample_entries(law: TailLaw, rng: RngStream, count: int) -> np.ndarray:
-    """Vector of ``count`` i.i.d. draws; a pure function of ``(law, rng, count)``."""
-    if count < 0:
-        raise ParameterDomainError("count must be nonnegative")
-    return _draw(law, rng.generator(), (count,))
 
 
 def fill_matrix(law: TailLaw, p: int, n: int, rng: RngStream) -> DataMatrix:

@@ -31,6 +31,13 @@ _KDE_POINTS = 256
 _KDE_BLOCK = 16
 
 
+def _json_int(key: str, value) -> int:
+    # bool is an int subclass, but true/false is no count
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One Monte Carlo experiment: law, shape, replication count, outputs."""
@@ -51,8 +58,9 @@ class ExperimentConfig:
             raise ConfigError("law must be a TailLaw")
         if not 0 < self.p < self.n:
             raise ConfigError(f"need 0 < p < n, got p={self.p}, n={self.n}")
-        if self.reps < 1:
-            raise ConfigError("reps must be >= 1")
+        if self.reps < 8:
+            # the KS test and the summary moments need at least 8 values
+            raise ConfigError("reps must be >= 8")
         if self.statistic not in _STATISTICS:
             raise ConfigError(f"statistic must be one of {_STATISTICS}")
         if self.parallelism is not None and self.parallelism < 1:
@@ -86,18 +94,16 @@ class ExperimentConfig:
             law = TailLaw.from_config(data.pop("law"))
             outputs = dict(data.pop("outputs", {}) or {})
             parallelism = data.pop("parallelism", None)
-            if parallelism in ("auto", None):
-                parallelism = None
-            else:
-                parallelism = int(parallelism)
             config = cls(
                 law=law,
-                p=int(data.pop("p")),
-                n=int(data.pop("n")),
-                reps=int(data.pop("reps")),
-                seed=int(data.pop("seed", 0)),
+                p=_json_int("p", data.pop("p")),
+                n=_json_int("n", data.pop("n")),
+                reps=_json_int("reps", data.pop("reps")),
+                seed=_json_int("seed", data.pop("seed", 0)),
                 statistic=str(data.pop("statistic", "corr_logdet")),
-                parallelism=parallelism,
+                parallelism=(
+                    None if parallelism in ("auto", None) else _json_int("parallelism", parallelism)
+                ),
                 csv_path=outputs.pop("csv_path", None),
                 json_path=outputs.pop("json_path", None),
                 svg_path=outputs.pop("svg_path", None),
@@ -223,14 +229,14 @@ def silverman_bandwidth(x: np.ndarray) -> float:
     return 0.9 * scale * m ** (-0.2)
 
 
-def kde_curve(x: np.ndarray, points: int = _KDE_POINTS) -> dict:
+def kde_curve(x: np.ndarray) -> dict:
     bw = silverman_bandwidth(x)
     lo = float(np.min(x)) - 3.0 * bw
     hi = float(np.max(x)) + 3.0 * bw
-    grid = np.linspace(lo, hi, points)
+    grid = np.linspace(lo, hi, _KDE_POINTS)
     # blocks of grid columns bound the temporaries to reps x _KDE_BLOCK
-    sums = np.empty(points)
-    for j in range(0, points, _KDE_BLOCK):
+    sums = np.empty(_KDE_POINTS)
+    for j in range(0, _KDE_POINTS, _KDE_BLOCK):
         z = (grid[None, j : j + _KDE_BLOCK] - x[:, None]) / bw
         sums[j : j + _KDE_BLOCK] = np.exp(-0.5 * z * z).sum(axis=0)
     density = sums / (x.size * bw * math.sqrt(2.0 * math.pi))
@@ -302,9 +308,8 @@ def run_simulation(config: ExperimentConfig) -> ExperimentReport:
         raise NumericalFailure(
             f"{int(flagged.sum())} of {config.reps} replications failed Cholesky"
         )
+    # reps >= 8 and at most 0.1% flagged leave at least 8 good values
     good = stats[~flagged]
-    if good.size < 8:
-        raise NumericalFailure("too few successful replications to summarize")
 
     report = ExperimentReport(
         config=config.to_dict(),

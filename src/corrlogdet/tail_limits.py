@@ -22,6 +22,8 @@ from .errors import ParameterDomainError
 from .moments import mc_moment_batches, moment_key
 from .sampling import RngStream, TailLaw
 
+_MOM_BLOCKS = 16
+
 
 @dataclass(frozen=True)
 class MomentLimitQuery:
@@ -63,19 +65,6 @@ def moment_limit(query: MomentLimitQuery) -> float:
     return value / math.gamma(sum(query.exponents))
 
 
-def moment_limit_single(alpha: float, k: int) -> float:
-    """Single-exponent specialization, written independently of the general
-    formula: ``alpha * Gamma(alpha/2) * Gamma(k - alpha/2) / (2 * Gamma(k))``
-    for k >= 2.  For k = 1 the sphere constraint gives exactly 1."""
-    if not 2.0 < alpha < 4.0:
-        raise ParameterDomainError("tail index must lie strictly in (2, 4)")
-    if k < 1:
-        raise ParameterDomainError("exponent must be >= 1")
-    if k == 1:
-        return 1.0
-    return alpha * math.gamma(alpha / 2.0) * math.gamma(k - alpha / 2.0) / (2.0 * math.gamma(k))
-
-
 def standardized_tail_constant(law: TailLaw) -> float:
     """Tail constant of the variance-one rescaling of ``law``.
 
@@ -99,7 +88,6 @@ class DiagnosticRow:
     estimate: float
     limit: float
     ratio: float
-    blocks: int
 
 
 def convergence_diagnostic(
@@ -108,12 +96,11 @@ def convergence_diagnostic(
     n_grid: list[int],
     reps: int,
     rng: RngStream,
-    blocks: int = 16,
 ) -> list[DiagnosticRow]:
     """Scaled Monte Carlo moments against their closed-form limits.
 
     For each n in the grid, estimates the moment by the median of
-    ``blocks`` block means, applies the ``n**e`` scaling and divides out
+    16 block means, applies the ``n**e`` scaling and divides out
     the standardized tail constant; the ratio to the limit should tend
     to 1.  The pure unit-exponent case ``(1,)`` is the sphere constraint
     and gives ratio exactly 1 at every n.
@@ -131,20 +118,16 @@ def convergence_diagnostic(
             key = moment_key(*(2 * k for k in query.exponents))
             batch = mc_moment_batches(
                 law, n, reps, RngStream(rng.master_seed, rng.stream_id ^ (idx + 1)),
-                batches=blocks,
+                batches=_MOM_BLOCKS,
             )[key]
             mom = float(np.median(batch))
             estimate = n**query.scaling_exponent * mom / tail_c ** (query.r - query.unit_count)
-        rows.append(
-            DiagnosticRow(
-                n=int(n), estimate=estimate, limit=limit, ratio=estimate / limit, blocks=blocks
-            )
-        )
+        rows.append(DiagnosticRow(n=int(n), estimate=estimate, limit=limit, ratio=estimate / limit))
     return rows
 
 
 def diagnostic_csv(rows: list[DiagnosticRow]) -> str:
     lines = ["n,estimate,limit,ratio,mom_blocks"]
     for row in rows:
-        lines.append(f"{row.n},{row.estimate!r},{row.limit!r},{row.ratio!r},{row.blocks}")
+        lines.append(f"{row.n},{row.estimate!r},{row.limit!r},{row.ratio!r},{_MOM_BLOCKS}")
     return "\n".join(lines) + "\n"

@@ -74,6 +74,26 @@ def test_simulate_unknown_config_key(tmp_path, config_file, capsys):
     assert "sead" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "edit, extra_argv",
+    [
+        ({"p": 15.5}, []),
+        ({"seed": 1.7}, []),
+        ({"law": {"family": "inverse_gamma", "shape": 3.5, "scale": 2, "centered": "false"}}, []),
+        ({}, ["--reps", "5"]),
+    ],
+)
+def test_simulate_bad_values_exit_2_before_running(tmp_path, config_file, capsys, edit, extra_argv):
+    raw = json.loads(config_file.read_text())
+    raw.update(edit)
+    config_file.write_text(json.dumps(raw))
+    csv_path = tmp_path / "stats.csv"
+    argv = ["simulate", "--config", str(config_file), "--out-csv", str(csv_path), *extra_argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not csv_path.exists()
+
+
 def test_verify_moments_small(capsys):
     code = main(["verify-moments", "--nmax", "3", "--vectors", "2", "--trials", "1"])
     assert code == 0

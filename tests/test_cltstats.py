@@ -21,7 +21,6 @@ def test_constants_at_half_ratio():
     assert c.mu_n == pytest.approx(-499.5 * math.log(0.5) - 499.5, rel=1e-12)
     assert c.mu_n == pytest.approx(-153.273, abs=5e-4)
     assert c.sigma2_n == pytest.approx(2.0 * math.log(2.0) - 1.0, rel=1e-12)
-    assert c.gamma_hat == 0.5
     assert c.c_n < 0.0
 
 

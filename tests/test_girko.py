@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from corrlogdet import (
     ParameterDomainError,
@@ -17,6 +18,12 @@ from corrlogdet import (
     sample_correlation,
     self_normalize,
 )
+
+
+def _dense_q(state: ProjectionState) -> np.ndarray:
+    """Materialized unit-trace projector Q_i = (I - B'B) / (n - i)."""
+    b = state.basis()
+    return (np.eye(state.n) - b.T @ b) / state.scale
 
 
 def _state_from_rows(rows: np.ndarray) -> ProjectionState:
@@ -72,6 +79,22 @@ def test_matches_cholesky_random_cases(law):
         assert abs(trace.log_det - chol) <= 1e-8 * max(abs(chol), 1e-6)
 
 
+@pytest.mark.parametrize(
+    "law",
+    [TailLaw.gaussian(), TailLaw.student_t(3.5), TailLaw.symmetric_pareto(3.5)],
+    ids=lambda law: law.family,
+)
+def test_step_statistics_match_qr_oracle(law):
+    # r_ii^2 of a QR factorization of Y' is the squared distance of row i to
+    # the span of rows 0..i-1, so a defect in the recursion shows at its step
+    p, n = 200, 400
+    y = self_normalize(fill_matrix(law, p, n, RngStream(16)))
+    r = scipy.linalg.qr(y.T, mode="r")[0]
+    m = n - np.arange(p)
+    expected = (n * np.diag(r) ** 2 - m) / m
+    assert np.max(np.abs(girko_log_det(y).z_tilde - expected)) < 1e-12
+
+
 def test_c_n_value():
     trace = girko_log_det(self_normalize(fill_matrix(TailLaw.gaussian(), 3, 9, RngStream(3))))
     expected = math.log(9 * 8 * 7) - 3 * math.log(9)
@@ -104,7 +127,7 @@ def test_split_uv_against_dense_oracle():
     rows = _random_rows(12, 40, 6, TailLaw.student_t(3.5))
     y = rows[12]
     n = 40
-    q = _state_from_rows(rows[:12]).dense_q()
+    q = _dense_q(_state_from_rows(rows[:12]))
     u_direct = float(np.sum(np.diag(q) * (n * y * y - 1.0)))
     off = q - np.diag(np.diag(q))
     v_direct = float(n * y @ off @ y)
@@ -119,26 +142,20 @@ def test_split_uv_against_dense_oracle():
 def test_diag_power_sums_initial_state():
     n = 17
     state = ProjectionState(n)
-    sums = state.diag_power_sums(4)
+    sums = state.diag_power_sums()
     assert sums == pytest.approx(tuple(n ** (1 - j) for j in range(1, 5)), rel=1e-14)
 
 
 def test_diag_power_sums_against_dense_oracle():
     state, _ = _random_state(10, 50, 7)
-    q = state.dense_q()
+    q = _dense_q(state)
     dense_sums = tuple(float(np.sum(np.diag(q) ** j)) for j in range(1, 5))
-    sums = state.diag_power_sums(4)
+    sums = state.diag_power_sums()
     assert sums == pytest.approx(dense_sums, abs=1e-12)
     assert sums[0] == pytest.approx(1.0, abs=1e-12)
     # Jensen lower bound and max-entry upper bound on the second power sum
     n, i = 50, 10
     assert 1.0 - 1e-12 <= n * sums[1] <= n / (n - i) + 1e-12
-
-
-def test_diag_power_sums_max_j_guard():
-    state = ProjectionState(5)
-    with pytest.raises(ParameterDomainError):
-        state.diag_power_sums(5)
 
 
 def test_projection_state_orthonormal_basis():
@@ -150,7 +167,7 @@ def test_projection_state_orthonormal_basis():
 
 def test_dense_q_matches_tracked_diagonal():
     state, _ = _random_state(9, 30, 9)
-    assert np.max(np.abs(np.diag(state.dense_q()) - state.q_diag())) < 1e-12
+    assert np.max(np.abs(np.diag(_dense_q(state)) - state.q_diag())) < 1e-12
 
 
 def test_duplicate_row_is_singular():

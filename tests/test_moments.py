@@ -24,21 +24,48 @@ from corrlogdet import (
     permutation_oracle,
     quadratic_form_moments,
     sphere_identity_residuals,
-    uniform_sphere_table,
 )
 from corrlogdet.moments import (
+    ALL_KEYS,
     enumerated_quadratic_form_moments,
     enumerated_weighted_power,
     rational_unit_vector,
     rational_weights,
-    second_moment_raw,
-    third_moment_raw,
 )
 
 
 def _circle_moment(a: int, b: int) -> F:
     # E[cos^(2a) sin^(2b)] for a uniform angle, exact
     return F(math.comb(2 * a, a) * math.comb(2 * b, b), 4 ** (a + b) * math.comb(a + b, a))
+
+
+def uniform_sphere_table(n: int, exact: bool = True) -> MomentTable:
+    """Moments of a uniform point on the sphere (normalized Gaussian row).
+
+    The squared coordinates are jointly Dirichlet(1/2, ..., 1/2), so
+    ``E[prod (Z_i^2)^{k_i}] = prod rising(1/2, k_i) / rising(n/2, sum k)``.
+    """
+
+    def rising(x: F, k: int) -> F:
+        out = F(1)
+        for j in range(k):
+            out *= x + j
+        return out
+
+    moments = {}
+    for key in ALL_KEYS:
+        halves = [e // 2 for e in key]
+        value = F(1)
+        for k in halves:
+            value *= rising(F(1, 2), k)
+        value /= rising(F(n, 2), sum(halves))
+        moments[key] = value if exact else float(value)
+    return MomentTable(n=n, moments=moments)
+
+
+def _diag(w: WeightVector) -> list[list[F]]:
+    n = w.n
+    return [[w.a[i] if i == j else F(0) for j in range(n)] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +76,7 @@ def _circle_moment(a: int, b: int) -> F:
 def test_oracle_single_support_vector():
     n = 5
     z = (F(1),) + (F(0),) * (n - 1)
-    t = permutation_oracle(z, degree=4)
+    t = permutation_oracle(z)
     for k in (1, 2, 3, 4):
         assert t.get(2 * k) == F(1, n)
     assert t.get(2, 2) == 0
@@ -60,14 +87,14 @@ def test_oracle_single_support_vector():
 def test_oracle_constant_vector():
     n = 4
     z = (F(1, 2),) * 4  # squares are 1/4 = 1/n
-    t = permutation_oracle(z, degree=4)
+    t = permutation_oracle(z)
     assert t.get(2) == F(1, 4)
     assert t.get(4, 2) == F(1, 4) ** 3
     assert t.get(2, 2, 2, 2) == F(1, 4) ** 4
 
 
 def test_oracle_three_four_five():
-    t = permutation_oracle((F(3, 5), F(4, 5)), degree=4)
+    t = permutation_oracle((F(3, 5), F(4, 5)))
     assert t.get(4) == F(337, 1250)
     assert t.get(2, 2) == F(144, 625)
 
@@ -75,15 +102,13 @@ def test_oracle_three_four_five():
 def test_oracle_caps():
     with pytest.raises(ResourceError):
         permutation_oracle((F(1),) * 9)
-    with pytest.raises(ResourceError):
-        permutation_oracle((F(1), F(0)), degree=7)
 
 
 def test_oracle_matches_uniform_sphere_structure():
     # permutation law of a unit vector satisfies every sphere identity
     rng = np.random.default_rng(0)
     z = rational_unit_vector(5, rng)
-    t = permutation_oracle(z, degree=4)
+    t = permutation_oracle(z)
     assert all(v == 0 for v in sphere_identity_residuals(t).values())
 
 
@@ -217,7 +242,7 @@ def test_coefficient_reductions():
 def test_centered_single_weight_reduces_to_binomial():
     rng = np.random.default_rng(6)
     z = rational_unit_vector(5, rng)
-    t = permutation_oracle(z, degree=4)
+    t = permutation_oracle(z)
     w = WeightVector((F(1), F(0), F(0), F(0), F(0)))
     b2 = t.get(2)
     expected = t.get(8) - 4 * b2 * t.get(6) + 6 * b2**2 * t.get(4) - 3 * b2**4
@@ -243,14 +268,15 @@ def test_binomial_route_matches_direct_expansion():
             z = tuple(F(int(rng.integers(-6, 7)), int(rng.integers(1, 5))) for _ in range(n))
             if not any(z):
                 continue
-            t = permutation_oracle(z, degree=4)
+            t = permutation_oracle(z)
             w = rational_weights(n, rng)
             b2 = t.get(2)
+            diagonal = quadratic_form_moments(_diag(w), None, t)
             raw = [
                 1,
                 b2,
-                second_moment_raw(w, t),
-                third_moment_raw(w, t),
+                diagonal.cross_second,
+                diagonal.third_raw,
                 fourth_moment_raw(w, t),
             ]
             binomial = sum(
@@ -265,7 +291,7 @@ def test_fourth_moments_match_enumeration():
         z = tuple(F(int(rng.integers(-6, 7)), int(rng.integers(1, 5))) for _ in range(n))
         if not any(z):
             z = (F(1),) * n
-        t = permutation_oracle(z, degree=4)
+        t = permutation_oracle(z)
         w = rational_weights(n, rng)
         assert fourth_moment_raw(w, t) == enumerated_weighted_power(w.a, z, 4)
         assert fourth_moment_centered(w, t) == enumerated_weighted_power(
@@ -277,7 +303,7 @@ def test_sphere_fourth_moment_matches_enumeration():
     rng = np.random.default_rng(9)
     n = 4
     z = rational_unit_vector(n, rng)
-    t = permutation_oracle(z, degree=4)
+    t = permutation_oracle(z)
     w = rational_weights(n, rng)
     brute = enumerated_weighted_power(w.a, z, 4, shift=-1, factor=n)
     assert fourth_moment_sphere(w, t) == brute
@@ -286,7 +312,7 @@ def test_sphere_fourth_moment_matches_enumeration():
 def test_sphere_fourth_moment_rejects_non_sphere_table():
     rng = np.random.default_rng(10)
     z = tuple(2 * v for v in rational_unit_vector(4, rng))  # norm 2, off the sphere
-    t = permutation_oracle(z, degree=4)
+    t = permutation_oracle(z)
     with pytest.raises(InconsistentTableError):
         fourth_moment_sphere(rational_weights(4, rng), t)
 
@@ -373,11 +399,11 @@ def test_quadratic_diagonal_matches_weighted_third_moment():
     rng = np.random.default_rng(14)
     n = 5
     z = rational_unit_vector(n, rng)
-    t = permutation_oracle(z, degree=4)
+    t = permutation_oracle(z)
     w = rational_weights(n, rng)
-    diag = [[w.a[i] if i == j else F(0) for j in range(n)] for i in range(n)]
-    out = quadratic_form_moments(diag, None, t)
-    assert out.third_raw == third_moment_raw(w, t)
+    out = quadratic_form_moments(_diag(w), None, t)
+    assert out.cross_second == enumerated_weighted_power(w.a, z, 2)
+    assert out.third_raw == enumerated_weighted_power(w.a, z, 3)
 
 
 def test_quadratic_forms_match_signed_enumeration():
@@ -386,7 +412,7 @@ def test_quadratic_forms_match_signed_enumeration():
 
     for n in (3, 4):
         z = _random_rational_vector(n, rng)
-        t = permutation_oracle(z, degree=4)
+        t = permutation_oracle(z)
         a = _random_rational_symmetric(n, rng)
         b = _random_rational_symmetric(n, rng)
         assert tuple(quadratic_form_moments(a, b, t)) == tuple(

@@ -12,10 +12,14 @@ from corrlogdet import (
     RngStream,
     TailLaw,
     fill_matrix,
-    sample_entries,
 )
 from corrlogdet.moments import mc_moment_batches
 from corrlogdet.sampling import _draw
+
+def _entries(law, rng, count):
+    """``count`` i.i.d. draws from the stream's root generator."""
+    return _draw(law, rng.generator(), (count,))
+
 
 ALL_LAWS = [
     TailLaw.gaussian(),
@@ -47,7 +51,7 @@ def _sha256(arrays) -> str:
     return h.hexdigest()
 
 
-# SHA-256 of fill_matrix (7x13), sample_entries (257) and mc_moment_batches
+# SHA-256 of fill_matrix (7x13), _entries (257) and mc_moment_batches
 # (n=6, chunks of 4 rows) for the laws drawn through uniform transforms;
 # a change to these bits changes every simulation of these laws.
 PINNED_DIGESTS = {
@@ -72,7 +76,7 @@ PINNED_DIGESTS = {
 @pytest.mark.parametrize("law", ALL_LAWS[:3], ids=lambda law: law.family)
 def test_symmetric_law_bits_pinned(law):
     fill = fill_matrix(law, 7, 13, RngStream(21, 4)).values
-    entries = sample_entries(law, RngStream(21, 5), 257)
+    entries = _entries(law, RngStream(21, 5), 257)
     batches = mc_moment_batches(law, 6, 40, RngStream(21, 6), batches=4, max_chunk_entries=24)
     digests = (_sha256([fill]), _sha256([entries]), _sha256([batches[k] for k in sorted(batches)]))
     assert digests == PINNED_DIGESTS[law.family]
@@ -87,7 +91,7 @@ def test_distinct_streams_differ():
 
 def test_sample_entry_pure():
     law = TailLaw.symmetric_pareto(3.5)
-    assert sample_entries(law, RngStream(11), 1)[0] == sample_entries(law, RngStream(11), 1)[0]
+    assert _entries(law, RngStream(11), 1)[0] == _entries(law, RngStream(11), 1)[0]
 
 
 def test_student_t_draws_finite():
@@ -96,24 +100,24 @@ def test_student_t_draws_finite():
 
 
 def test_gaussian_moments():
-    x = sample_entries(TailLaw.gaussian(), RngStream(100), 10**6)
+    x = _entries(TailLaw.gaussian(), RngStream(100), 10**6)
     assert abs(np.mean(x)) < 0.005
     assert abs(np.var(x) - 1.0) < 0.01
 
 
 def test_gaussian_distribution():
-    x = sample_entries(TailLaw.gaussian(), RngStream(101), 10**5)
+    x = _entries(TailLaw.gaussian(), RngStream(101), 10**5)
     assert stats.kstest(x, "norm").pvalue > 0.001
 
 
 def test_student_t_distribution():
-    x = sample_entries(TailLaw.student_t(3.5), RngStream(102), 2 * 10**5)
+    x = _entries(TailLaw.student_t(3.5), RngStream(102), 2 * 10**5)
     assert stats.kstest(x, stats.t(3.5).cdf).pvalue > 0.001
 
 
 def test_inverse_gamma_distribution():
     law = TailLaw.inverse_gamma(3.5, 2.0, centered=False)
-    x = sample_entries(law, RngStream(103), 2 * 10**5)
+    x = _entries(law, RngStream(103), 2 * 10**5)
     assert stats.kstest(x, stats.invgamma(3.5, scale=2.0).cdf).pvalue > 0.001
 
 
@@ -138,13 +142,13 @@ def test_non_finite_draw_names_its_entry():
 def test_pareto_survival_exact():
     # |X|**(-alpha) of the base draw is uniform on (0, 1)
     alpha = 3.5
-    x = sample_entries(TailLaw.symmetric_pareto(alpha), RngStream(104), 10**5)
+    x = _entries(TailLaw.symmetric_pareto(alpha), RngStream(104), 10**5)
     u = np.abs(x) ** (-alpha)
     assert stats.kstest(u, "uniform").pvalue > 0.001
 
 
 def test_pareto_skewness_small():
-    x = sample_entries(TailLaw.symmetric_pareto(3.5), RngStream(105), 10**6)
+    x = _entries(TailLaw.symmetric_pareto(3.5), RngStream(105), 10**6)
     assert abs(stats.skew(x)) < 0.05
 
 
@@ -161,7 +165,7 @@ def test_student_t_tail_hill_diagnostic():
     # empirical P(|X| > x) * x**alpha stabilizes near the tail constant
     df = 3.5
     law = TailLaw.student_t(df)
-    x = sample_entries(law, RngStream(106), 10**7)
+    x = _entries(law, RngStream(106), 10**7)
     absx = np.abs(x)
     for threshold in (8.0, 16.0):
         emp = np.mean(absx > threshold) * threshold**df
@@ -189,8 +193,8 @@ def test_symmetric_families_have_symmetric_draws(law):
     # X and -X must share a distribution; compare independent streams
     # (a two-sample test on a sample against its own negation would be
     # invalid, the halves are antithetic)
-    x = sample_entries(law, RngStream(110, 0), 10**5)
-    y = sample_entries(law, RngStream(110, 1), 10**5)
+    x = _entries(law, RngStream(110, 0), 10**5)
+    y = _entries(law, RngStream(110, 1), 10**5)
     assert stats.ks_2samp(x, -y).pvalue > 0.01
 
 
@@ -215,7 +219,7 @@ def test_law_variances():
 
 
 def test_pareto_variance_empirical():
-    x = sample_entries(TailLaw.symmetric_pareto(4.5), RngStream(109), 10**6)
+    x = _entries(TailLaw.symmetric_pareto(4.5), RngStream(109), 10**6)
     assert np.var(x) == pytest.approx(4.5 / 2.5, rel=0.05)
 
 
@@ -231,8 +235,6 @@ def test_tail_index_and_symmetry():
     assert TailLaw.student_t(3.5).tail_index == 3.5
     assert TailLaw.symmetric_pareto(2.5).tail_index == 2.5
     assert TailLaw.inverse_gamma(3.9, 2.0).tail_index == 3.9
-    assert TailLaw.gaussian().symmetric
-    assert not TailLaw.inverse_gamma(3.9, 2.0).symmetric
     assert TailLaw.symmetric_pareto(3.5).sv_constant == 1.0
 
 
@@ -256,6 +258,8 @@ def test_config_round_trip():
         {"family": "symmetric_pareto"},
         {"family": "inverse_gamma", "shape": 2.0, "scale": -1.0},
         {"family": "student_t", "df": 3.5, "extra": 1},
+        {"family": "inverse_gamma", "shape": 3.5, "scale": 2, "centered": "false"},
+        {"family": "inverse_gamma", "shape": 3.5, "scale": 2, "centered": 0},
     ],
 )
 def test_invalid_configs(bad):

@@ -61,6 +61,7 @@ def test_config_json_file(tmp_path):
         {"p": 60, "n": 60},
         {"p": 0},
         {"reps": 0},
+        {"reps": 7},
         {"statistic": "eigenvalues"},
         {"parallelism": 0},
     ],
@@ -83,6 +84,33 @@ def test_config_rejects_unknown_keys(extra, named):
     with pytest.raises(ConfigError) as err:
         ExperimentConfig.from_dict(raw)
     assert all(repr(key) in str(err.value) for key in named)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("p", 10.9),
+        ("n", 40.2),
+        ("reps", 50.5),
+        ("seed", 1.7),
+        ("parallelism", 2.5),
+        ("parallelism", "4"),
+        ("p", True),
+        ("reps", "50"),
+    ],
+)
+def test_config_rejects_non_integers(key, value):
+    raw = _config().to_dict()
+    raw[key] = value
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_dict(raw)
+    assert key in str(err.value)
+
+
+def test_eight_reps_is_enough():
+    report = run_simulation(_config(reps=8))
+    assert report.statistics.size == 8
+    assert report.n_flagged == 0
 
 
 def test_config_bad_file(tmp_path):

@@ -10,10 +10,18 @@ from corrlogdet import (
     TailLaw,
     convergence_diagnostic,
     moment_limit,
-    moment_limit_single,
     standardized_tail_constant,
 )
 from corrlogdet.tail_limits import diagnostic_csv
+
+
+def moment_limit_single(alpha: float, k: int) -> float:
+    """Single-exponent limit, written independently of the general formula:
+    ``alpha * Gamma(alpha/2) * Gamma(k - alpha/2) / (2 * Gamma(k))`` for
+    k >= 2.  For k = 1 the sphere constraint gives exactly 1."""
+    if k == 1:
+        return 1.0
+    return alpha * math.gamma(alpha / 2.0) * math.gamma(k - alpha / 2.0) / (2.0 * math.gamma(k))
 
 
 def test_known_value_alpha3_k2():
@@ -58,8 +66,6 @@ def test_domain_errors():
         MomentLimitQuery(2.0, (2,))
     with pytest.raises(ParameterDomainError):
         MomentLimitQuery(3.0, (0,))
-    with pytest.raises(ParameterDomainError):
-        moment_limit_single(4.5, 2)
 
 
 def test_gaussian_law_rejected():
