@@ -15,7 +15,11 @@ The projector is never formed densely on the normal path: quadratic forms
 are evaluated through an incrementally maintained orthonormal basis, and
 the diagonal of the unit-trace projector ``Q = P / (n - i)`` is tracked as
 ``(1 - load_k) / (n - i)`` where ``load_k`` accumulates squared basis
-coordinates.  A debug mode materializes ``Q`` to audit its entry bounds.
+coordinates.  An audit mode keeps the unscaled projector ``P`` densely to
+check the entry bounds of ``Q``.  ``P`` stays exactly symmetric (IEEE
+products commute), so only its upper triangle is updated and scanned, in
+row blocks of bounded scratch; one pass per step both applies the rank-one
+update and reads the bounds of the next step.
 
 Each step statistic splits into a diagonal part driven by fourth-moment
 behavior and an off-diagonal bilinear part that carries the asymptotic
@@ -36,6 +40,8 @@ from .errors import ParameterDomainError, SingularStepError
 
 _REORTH_TOL = 1e-10
 _MAX_REORTH = 6
+# Entries per row block of the bound audit, and of its rank-one scratch.
+_AUDIT_BLOCK_ENTRIES = 1 << 16
 
 
 class ProjectionState:
@@ -131,6 +137,51 @@ class GirkoTrace:
         return self.c_n + float(np.sum(np.log1p(self.z_tilde)))
 
 
+def _upper_blocks(n: int) -> list[np.ndarray]:
+    """Row blocks of the upper triangle of the n-by-n identity.
+
+    Block ``a:b`` holds rows ``a:b`` from column ``a`` on, in at most
+    ``_AUDIT_BLOCK_ENTRIES`` entries, or one row when a row is longer.
+    """
+    rows = max(1, _AUDIT_BLOCK_ENTRIES // n)
+    blocks = []
+    for a in range(0, n, rows):
+        block = np.zeros((min(rows, n - a), n - a))
+        np.fill_diagonal(block, 1.0)
+        blocks.append(block)
+    return blocks
+
+
+def _audit_pass(
+    blocks: list[np.ndarray], w: np.ndarray | None, scratch: np.ndarray
+) -> tuple[np.ndarray, float, float]:
+    """Subtract ``w w'`` from the blocked upper triangle and scan it.
+
+    The square part of each block is updated in full, so it stays
+    symmetric, and together the blocks see every off-diagonal entry of the
+    symmetric matrix.  Returns the diagonal and the largest and smallest
+    off-diagonal entries, each extreme including 0.
+    """
+    n = blocks[0].shape[1]
+    diag = np.empty(n)
+    hi = lo = 0.0
+    a = 0
+    for block in blocks:
+        b = a + block.shape[0]
+        if w is not None:
+            # each entry is the single product w_k * w_l, as in np.outer
+            outer = scratch[: block.size].reshape(block.shape)
+            np.einsum("i,j->ij", w[a:b], w[a:], out=outer)
+            block -= outer
+        diag[a:b] = block.diagonal()
+        np.fill_diagonal(block, 0.0)
+        hi = max(hi, float(block.max()))
+        lo = min(lo, float(block.min()))
+        np.fill_diagonal(block, diag[a:b])
+        a = b
+    return diag, hi, lo
+
+
 def girko_log_det(y: np.ndarray, record_bounds: bool = False) -> GirkoTrace:
     """Run the full recursion over the rows of a unit-norm matrix.
 
@@ -148,12 +199,13 @@ def girko_log_det(y: np.ndarray, record_bounds: bool = False) -> GirkoTrace:
     u = np.empty(p)
     v = np.empty(p)
     sums = np.empty((p, 4))
-    dense = np.eye(n) if record_bounds else None
-    outer_buf = np.empty((n, n)) if record_bounds else None
-    diag_min = np.empty(p) if record_bounds else None
-    diag_max = np.empty(p) if record_bounds else None
-    offdiag_max = np.empty(p) if record_bounds else None
-    trace_error = np.empty(p) if record_bounds else None
+    if record_bounds:
+        # blocks hold the upper triangle of the unscaled projector P_i;
+        # bounds are checked on Q_i = P_i / (n - i) without scaled copies
+        blocks = _upper_blocks(n)
+        scratch = np.empty(blocks[0].size)
+        bounds = np.empty((4, p))
+        audit = _audit_pass(blocks, None, scratch)
 
     for i in range(p):
         row = rows[i]
@@ -164,15 +216,13 @@ def girko_log_det(y: np.ndarray, record_bounds: bool = False) -> GirkoTrace:
         sums[i] = state.diag_power_sums()
 
         if record_bounds:
-            # dense holds the unscaled projector P_i; bounds are checked on
-            # Q_i = P_i / (n - i) without materializing scaled copies
-            diag = dense.diagonal().copy()
-            diag_min[i] = float(diag.min()) / m
-            diag_max[i] = float(diag.max()) / m
-            np.fill_diagonal(dense, 0.0)
-            offdiag_max[i] = max(float(dense.max()), -float(dense.min())) / m
-            np.fill_diagonal(dense, diag)
-            trace_error[i] = abs(float(diag.sum()) / m - 1.0)
+            diag, hi, lo = audit
+            bounds[:, i] = (
+                float(diag.min()) / m,
+                float(diag.max()) / m,
+                max(hi, -lo) / m,
+                abs(float(diag.sum()) / m - 1.0),
+            )
 
         rsq = state.absorb(row)
         z[i] = (n * rsq - m) / m
@@ -180,11 +230,10 @@ def girko_log_det(y: np.ndarray, record_bounds: bool = False) -> GirkoTrace:
         if not z[i] > -1.0:
             # n * rsq / m underflowed; the factor is numerically zero
             raise SingularStepError(step=i)
-        if record_bounds:
-            new_u = state.basis()[-1]
-            np.outer(new_u, new_u, out=outer_buf)
-            np.subtract(dense, outer_buf, out=dense)
+        if record_bounds and i + 1 < p:
+            audit = _audit_pass(blocks, state.basis()[-1], scratch)
 
+    diag_min, diag_max, offdiag_max, trace_error = bounds if record_bounds else (None,) * 4
     return GirkoTrace(
         p=p,
         n=n,

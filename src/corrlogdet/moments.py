@@ -23,6 +23,7 @@ permutations of a fixed vector provide the independent ground truth.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -505,34 +506,42 @@ def rational_weights(n: int, rng: np.random.Generator) -> WeightVector:
 # Monte Carlo estimation of sphere tables from self-normalized rows
 # ---------------------------------------------------------------------------
 
-def _row_estimates(y2: np.ndarray, n: int) -> dict[tuple[int, ...], np.ndarray]:
-    """Per-row unbiased estimates of every half-degree <= 4 moment.
+def _row_estimates(
+    y2: np.ndarray, n: int, keys: Sequence[tuple[int, ...]]
+) -> dict[tuple[int, ...], np.ndarray]:
+    """Per-row unbiased estimates of the requested half-degree <= 4 moments.
 
     Averages the monomial over all distinct index tuples of one
     exchangeable row; with ``p_j = sum_k Y_k^(2j)`` (and ``p_1 = 1`` by the
     sphere constraint) each estimate is a polynomial in the power sums.
+    Only the power sums that the requested estimates use are formed.
     """
     y4 = y2 * y2
-    p2 = y4.sum(axis=1)
-    p3 = (y4 * y2).sum(axis=1)
-    p4 = (y4 * y4).sum(axis=1)
+    factor = {3: y2, 4: y4}
+
+    @functools.cache
+    def p(j: int) -> np.ndarray:
+        return (y4 * factor[j] if j > 2 else y4).sum(axis=1)
+
     d2 = float(n * (n - 1))
     d3 = d2 * (n - 2)
     d4 = d3 * (n - 3)
-    ones = np.ones_like(p2)
-    return {
-        (2,): ones / n,
-        (4,): p2 / n,
-        (6,): p3 / n,
-        (8,): p4 / n,
-        (2, 2): (1.0 - p2) / d2,
-        (4, 2): (p2 - p3) / d2,
-        (6, 2): (p3 - p4) / d2,
-        (4, 4): (p2 * p2 - p4) / d2,
-        (2, 2, 2): (1.0 - 3.0 * p2 + 2.0 * p3) / d3,
-        (4, 2, 2): (p2 - p2 * p2 - 2.0 * p3 + 2.0 * p4) / d3,
-        (2, 2, 2, 2): (1.0 - 6.0 * p2 + 3.0 * p2 * p2 + 8.0 * p3 - 6.0 * p4) / d4,
+    formulas = {
+        (2,): lambda: np.ones(y2.shape[0]) / n,
+        (4,): lambda: p(2) / n,
+        (6,): lambda: p(3) / n,
+        (8,): lambda: p(4) / n,
+        (2, 2): lambda: (1.0 - p(2)) / d2,
+        (4, 2): lambda: (p(2) - p(3)) / d2,
+        (6, 2): lambda: (p(3) - p(4)) / d2,
+        (4, 4): lambda: (p(2) * p(2) - p(4)) / d2,
+        (2, 2, 2): lambda: (1.0 - 3.0 * p(2) + 2.0 * p(3)) / d3,
+        (4, 2, 2): lambda: (p(2) - p(2) * p(2) - 2.0 * p(3) + 2.0 * p(4)) / d3,
+        (2, 2, 2, 2): lambda: (
+            1.0 - 6.0 * p(2) + 3.0 * p(2) * p(2) + 8.0 * p(3) - 6.0 * p(4)
+        ) / d4,
     }
+    return {key: formulas[key]() for key in keys}
 
 
 def mc_moment_batches(
@@ -542,27 +551,29 @@ def mc_moment_batches(
     rng: RngStream,
     batches: int = 16,
     max_chunk_entries: int = 1 << 23,
+    keys: Sequence[tuple[int, ...]] = ALL_KEYS,
 ) -> dict[tuple[int, ...], np.ndarray]:
     """Batch means of the sphere-moment estimators over ``reps`` rows.
 
     Rows are self-normalized draws ``Y = X / |X|`` with ``X`` i.i.d. from
     ``law``; batch ``b`` draws its rows, chunk by chunk, from the derived
     substream ``rng.generator(b)`` through the same per-law sampler as
-    ``fill_matrix``.  Returns, per moment key, the array of ``batches``
-    batch means.
+    ``fill_matrix``.  Returns, per requested moment key (all of
+    ``ALL_KEYS`` by default), the array of ``batches`` batch means; the
+    draws, and so the means, do not depend on which keys are requested.
     """
     if n < 4:
         raise ParameterDomainError("need n >= 4 for the quadruple moments")
     if reps < batches:
         raise ParameterDomainError("need at least one replication per batch")
     rows_per_chunk = max(1, max_chunk_entries // n)
-    out = {key: np.empty(batches) for key in ALL_KEYS}
+    out = {key: np.empty(batches) for key in keys}
     base = reps // batches
     extra = reps % batches
     for b in range(batches):
         m_batch = base + (1 if b < extra else 0)
         gen = rng.generator(b)
-        sums = {key: 0.0 for key in ALL_KEYS}
+        sums = {key: 0.0 for key in keys}
         done = 0
         while done < m_batch:
             m = min(rows_per_chunk, m_batch - done)
@@ -571,10 +582,10 @@ def mc_moment_batches(
             if not np.all(norms_sq > 0.0):
                 raise DegenerateInputError("zero row encountered in Monte Carlo draw")
             y2 = x * x / norms_sq[:, None]
-            for key, vals in _row_estimates(y2, n).items():
+            for key, vals in _row_estimates(y2, n, keys).items():
                 sums[key] += float(vals.sum())
             done += m
-        for key in ALL_KEYS:
+        for key in keys:
             out[key][b] = sums[key] / m_batch
     return out
 

@@ -191,21 +191,27 @@ class TailLaw:
         if family == "gaussian":
             law = cls.gaussian()
         elif family == "student_t":
-            law = cls.student_t(cfg.pop("df", None) or 0.0)
+            law = cls.student_t(_pop_number(cfg, "df"))
         elif family == "symmetric_pareto":
-            law = cls.symmetric_pareto(cfg.pop("alpha", None) or 0.0)
+            law = cls.symmetric_pareto(_pop_number(cfg, "alpha"))
         elif family == "inverse_gamma":
             centered = cfg.pop("centered", True)
             if not isinstance(centered, bool):
                 raise ParameterDomainError(f"centered must be true or false, got {centered!r}")
-            law = cls.inverse_gamma(
-                cfg.pop("shape", None) or 0.0, cfg.pop("scale", None) or 0.0, centered
-            )
+            law = cls.inverse_gamma(_pop_number(cfg, "shape"), _pop_number(cfg, "scale"), centered)
         else:
             raise ParameterDomainError(f"unknown family {family!r}")
         if cfg:
             raise ParameterDomainError(f"unexpected law fields {sorted(cfg)}")
         return law
+
+
+def _pop_number(cfg: dict, name: str) -> float:
+    """Remove and return a numeric law field; a bool or a string is no number."""
+    value = cfg.pop(name, None)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParameterDomainError(f"{name} must be a number, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -118,7 +118,7 @@ def convergence_diagnostic(
             key = moment_key(*(2 * k for k in query.exponents))
             batch = mc_moment_batches(
                 law, n, reps, RngStream(rng.master_seed, rng.stream_id ^ (idx + 1)),
-                batches=_MOM_BLOCKS,
+                batches=_MOM_BLOCKS, keys=(key,),
             )[key]
             mom = float(np.median(batch))
             estimate = n**query.scaling_exponent * mom / tail_c ** (query.r - query.unit_count)

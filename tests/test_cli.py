@@ -81,6 +81,7 @@ def test_simulate_unknown_config_key(tmp_path, config_file, capsys):
         ({"seed": 1.7}, []),
         ({"law": {"family": "inverse_gamma", "shape": 3.5, "scale": 2, "centered": "false"}}, []),
         ({}, ["--reps", "5"]),
+        ({"law": {"family": "student_t", "df": "3.5"}}, []),
     ],
 )
 def test_simulate_bad_values_exit_2_before_running(tmp_path, config_file, capsys, edit, extra_argv):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from corrlogdet import girko
 from corrlogdet import (
     ParameterDomainError,
     ProjectionState,
@@ -193,6 +194,57 @@ def test_trace_invariants():
     assert np.all(trace.diag_min >= -1e-12)
     assert np.all(trace.diag_max <= 1.0 / scale + 1e-12)
     assert np.all(trace.offdiag_max <= 0.5 / scale + 1e-12)
+
+
+def _dense_audit(y: np.ndarray) -> np.ndarray:
+    """Bound audit with the full n-by-n projector and a dense outer product.
+
+    Rows: diag_min, diag_max, offdiag_max, trace_error of Q_i per step.
+    """
+    p, n = y.shape
+    state = ProjectionState(n, capacity=p)
+    dense = np.eye(n)
+    outer = np.empty((n, n))
+    out = np.empty((4, p))
+    for i in range(p):
+        m = state.scale
+        diag = dense.diagonal().copy()
+        np.fill_diagonal(dense, 0.0)
+        out[:, i] = (
+            float(diag.min()) / m,
+            float(diag.max()) / m,
+            max(float(dense.max()), -float(dense.min())) / m,
+            abs(float(diag.sum()) / m - 1.0),
+        )
+        np.fill_diagonal(dense, diag)
+        state.absorb(y[i])
+        u = state.basis()[-1]
+        np.outer(u, u, out=outer)
+        np.subtract(dense, outer, out=dense)
+    return out
+
+
+@pytest.mark.parametrize(
+    "p, n, blocks, law",
+    [
+        (40, 100, 1, TailLaw.gaussian()),  # n below one block's row count
+        (60, 983, 15, TailLaw.student_t(3.5)),  # 14 blocks of 66 rows and one of 59
+        (300, 300, 2, TailLaw.symmetric_pareto(3.5)),  # p == n
+        (1, 50, 1, TailLaw.student_t(3.5)),  # p == 1
+    ],
+    ids=["one_block", "partial_last_block", "p_equals_n", "single_row"],
+)
+def test_blocked_audit_is_bit_identical_to_dense(p, n, blocks, law):
+    rows = max(1, girko._AUDIT_BLOCK_ENTRIES // n)
+    assert -(-n // rows) == blocks
+    y = self_normalize(fill_matrix(law, p, n, RngStream(17)))
+    audited = girko_log_det(y, record_bounds=True)
+    plain = girko_log_det(y)
+    for name in ("z_tilde", "u_part", "v_part", "power_sums"):
+        assert np.array_equal(getattr(audited, name), getattr(plain, name)), name
+    expected = _dense_audit(y)
+    for k, name in enumerate(("diag_min", "diag_max", "offdiag_max", "trace_error")):
+        assert np.array_equal(getattr(audited, name), expected[k]), name
 
 
 def test_step_statistic_is_martingale_difference():

@@ -29,6 +29,7 @@ from corrlogdet.moments import (
     ALL_KEYS,
     enumerated_quadratic_form_moments,
     enumerated_weighted_power,
+    mc_moment_batches,
     rational_unit_vector,
     rational_weights,
 )
@@ -186,6 +187,22 @@ def test_mc_table_gaussian_values():
 def test_mc_table_requires_reps():
     with pytest.raises(ParameterDomainError):
         mc_moment_table(TailLaw.gaussian(), n=10, reps=100, rng=RngStream(3))
+
+
+@pytest.mark.parametrize(
+    "law",
+    [TailLaw.gaussian(), TailLaw.student_t(3.5), TailLaw.symmetric_pareto(3.5)],
+    ids=lambda law: law.family,
+)
+@pytest.mark.parametrize("keys", [((4,),), ((4, 2),), ((2, 2, 2, 2), (2,), (8,))], ids=str)
+def test_mc_batches_key_subset_matches_all_keys(law, keys):
+    # several chunks per batch and an uneven batch split
+    args = (law, 9, 203, RngStream(4, 2))
+    full = mc_moment_batches(*args, batches=5, max_chunk_entries=100)
+    subset = mc_moment_batches(*args, batches=5, max_chunk_entries=100, keys=keys)
+    assert list(subset) == list(keys)
+    for key in keys:
+        assert np.array_equal(subset[key], full[key]), key
 
 
 # ---------------------------------------------------------------------------

@@ -260,6 +260,14 @@ def test_config_round_trip():
         {"family": "student_t", "df": 3.5, "extra": 1},
         {"family": "inverse_gamma", "shape": 3.5, "scale": 2, "centered": "false"},
         {"family": "inverse_gamma", "shape": 3.5, "scale": 2, "centered": 0},
+        {"family": "student_t", "df": True},
+        {"family": "student_t", "df": "3.5"},
+        {"family": "symmetric_pareto", "alpha": True},
+        {"family": "symmetric_pareto", "alpha": "3.5"},
+        {"family": "inverse_gamma", "shape": True, "scale": 2, "centered": False},
+        {"family": "inverse_gamma", "shape": "3.5", "scale": 2},
+        {"family": "inverse_gamma", "shape": 3.5, "scale": True},
+        {"family": "inverse_gamma", "shape": 3.5, "scale": [2]},
     ],
 )
 def test_invalid_configs(bad):
