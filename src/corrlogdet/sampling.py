@@ -9,14 +9,19 @@ constant ``c``.
 
 Each matrix row draws from its own derived substream, so row ``i`` is a
 pure function of ``(master_seed, stream_id, i)`` regardless of traversal
-order.  The symmetric laws map a fixed number of uniforms per entry, so
-each entry sits at a fixed offset of its row's uniform stream; inverse
-gamma divides the scale by ``Generator.standard_gamma`` variates
-(Marsaglia-Tsang rejection), so only its rows are addressable.
+order.  Row ``i``'s substream is the ``PCG64`` seeded by child ``i`` of
+``SeedSequence((master_seed, stream_id)).spawn``; ``fill_matrix`` derives
+the generator states of all rows in one vectorized pass and re-states a
+single generator per row.  The symmetric laws map a fixed number of
+uniforms per entry, so each entry sits at a fixed offset of its row's
+uniform stream; inverse gamma divides the scale by
+``Generator.standard_gamma`` variates (Marsaglia-Tsang rejection), so
+only its rows are addressable.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,6 +41,42 @@ _FAMILIES = ("gaussian", "student_t", "symmetric_pareto", "inverse_gamma")
 
 # Hard cap on matrix entries, refusing absurd allocations up front.
 _MAX_ENTRIES = 1 << 31
+
+# Raw draws (uniforms, or gamma variates) per row block of fill_matrix.
+_BLOCK_DRAWS = 1 << 16
+
+# numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier;
+# NEP 19 keeps both generators' output stable across numpy versions.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_chain(init: int, mult: int, calls: range) -> tuple[np.ndarray, np.ndarray]:
+    """Xor and multiplier constants of the given calls of a SeedSequence hash.
+
+    Call ``k`` xors with ``init * mult**k`` and multiplies by
+    ``init * mult**(k+1)`` (mod 2**32); both come back as uint32 columns.
+    """
+    xor = [init * pow(mult, k, 1 << 32) & 0xFFFFFFFF for k in calls]
+    mul = [init * pow(mult, k + 1, 1 << 32) & 0xFFFFFFFF for k in calls]
+    return np.array(xor, np.uint32)[:, None], np.array(mul, np.uint32)[:, None]
+
+
+# A spawned child's entropy is the root's four pool words (zero-padded run
+# entropy) and then its spawn word, so mixing the pool costs 16 hash calls
+# and the spawn word is hashed by calls 16..19, once per pool word.
+# generate_state(4, uint64) hashes the pool cyclically into 8 words.
+_SPAWN_HASH = _hash_chain(_INIT_A, _MULT_A, range(16, 20))
+_STATE_HASH = _hash_chain(_INIT_B, _MULT_B, range(8))
+
+
+def _hashmix(words: np.ndarray, chain: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    xor, mul = chain
+    words = (words ^ xor) * mul
+    return words ^ (words >> np.uint32(16))
 
 
 @dataclass(frozen=True)
@@ -220,8 +261,9 @@ class RngStream:
 
     Equal keys reproduce identical sequences; distinct keys give
     statistically independent streams.  ``generator(*path)`` derives a
-    substream for a nested index path (e.g. a matrix row), so draws never
-    depend on how work is scheduled.
+    substream for a nested index path, and ``row_states(count)`` gives the
+    ``PCG64`` states of spawned children ``0..count-1`` (the matrix rows),
+    so draws never depend on how work is scheduled.
     """
 
     master_seed: int
@@ -232,42 +274,73 @@ class RngStream:
         entropy += tuple(k & _MASK64 for k in path)
         return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
-    def spawn_generators(self, count: int) -> list[np.random.Generator]:
-        """Generators for sub-indices 0..count-1 of this stream.
+    def row_states(self, count: int) -> list[tuple[int, int]]:
+        """``PCG64`` ``(state, inc)`` of spawned children ``0..count-1``.
 
-        Child ``i`` is keyed by ``(master_seed, stream_id)`` plus spawn key
-        ``(i,)``, a pure function of ``(master_seed, stream_id, i)`` that
-        does not depend on ``count``.
+        Child ``i`` is ``SeedSequence((master_seed, stream_id)).spawn``'s
+        child ``i``, a pure function of ``(master_seed, stream_id, i)``
+        that does not depend on ``count``.  All children's seed words are
+        hashed in one vectorized pass over ``i``; the spawn key ``(i,)`` is
+        one 32-bit word because ``count`` rows of a matrix number at most
+        ``_MAX_ENTRIES < 2**32``.
         """
-        root = np.random.SeedSequence(
-            entropy=(self.master_seed & _MASK64, self.stream_id & _MASK64)
+        root = np.random.SeedSequence((self.master_seed & _MASK64, self.stream_id & _MASK64))
+        pool = root.pool[:, None]
+        mixed = np.uint32(_MIX_L) * pool - np.uint32(_MIX_R) * _hashmix(
+            np.arange(count, dtype=np.uint32), _SPAWN_HASH
         )
-        return [np.random.Generator(np.random.PCG64(c)) for c in root.spawn(count)]
+        mixed ^= mixed >> np.uint32(16)
+        words = _hashmix(np.tile(mixed, (2, 1)), _STATE_HASH).astype(np.uint64)
+        seed_hi, seed_lo, seq_hi, seq_lo = (words[0::2] | words[1::2] << np.uint64(32)).tolist()
+        states = []
+        # PCG64's srandom: inc = 2 * seq + 1, two LCG steps around adding the seed
+        for s_hi, s_lo, q_hi, q_lo in zip(seed_hi, seed_lo, seq_hi, seq_lo):
+            inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+            state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+            states.append((state, inc))
+        return states
 
 
-def _open01(u: np.ndarray) -> np.ndarray:
-    return np.where(u == 0.0, _OPEN_EPS, u)
+def _width(law: TailLaw) -> int:
+    """Raw draws per entry: two uniforms for Student-t, else one."""
+    return 2 if law.family == "student_t" else 1
 
 
-def _draw(law: TailLaw, gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    """Array of i.i.d. entries of ``law`` with the given shape, drawn from ``gen``."""
+def _raw_sampler(law: TailLaw, gen: np.random.Generator):
+    """``gen``'s raw-draw method for ``law``, taking ``size=`` or ``out=``."""
     if law.family == "inverse_gamma":
-        x = law.scale / gen.standard_gamma(law.shape, shape)
+        return functools.partial(gen.standard_gamma, law.shape)
+    return gen.random
+
+
+def _transform(law: TailLaw, raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Entries of ``law`` from raw draws of shape ``(_width(law),) + shape``.
+
+    The entries go to ``out`` when it is given; ``raw`` is used as scratch.
+    """
+    u = raw[0]
+    if law.family == "inverse_gamma":
+        x = np.divide(law.scale, u, out=out)
         if law.centered:
-            x = x - law.scale / (law.shape - 1.0)
+            x -= law.scale / (law.shape - 1.0)
         return x
-    u = gen.random((2 if law.family == "student_t" else 1,) + shape)
     if law.family == "gaussian":
-        return special.ndtri(_open01(u[0]))
+        u[u == 0.0] = _OPEN_EPS
+        return special.ndtri(u, out=out)
     if law.family == "student_t":
         # Polar representation of the bivariate t: radius from one uniform,
         # angle from the other; the marginal is exactly Student-t.
         df = law.df
-        radius = np.sqrt(df * ((1.0 - u[0]) ** (-2.0 / df) - 1.0))
-        return radius * np.cos(2.0 * np.pi * u[1])
-    v = 2.0 * u[0] - 1.0
-    v = np.where(v == 0.0, 1.0, v)
-    return np.sign(v) * np.abs(v) ** (-1.0 / law.alpha)
+        radius = np.sqrt(df * ((1.0 - u) ** (-2.0 / df) - 1.0))
+        return np.multiply(radius, np.cos(2.0 * np.pi * raw[1]), out=out)
+    v = 2.0 * u - 1.0
+    v[v == 0.0] = 1.0
+    return np.copysign(np.abs(v) ** (-1.0 / law.alpha), v, out=out)
+
+
+def _draw(law: TailLaw, gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Array of i.i.d. entries of ``law`` with the given shape, drawn from ``gen``."""
+    return _transform(law, _raw_sampler(law, gen)(size=(_width(law),) + shape))
 
 
 def fill_matrix(law: TailLaw, p: int, n: int, rng: RngStream) -> DataMatrix:
@@ -275,13 +348,35 @@ def fill_matrix(law: TailLaw, p: int, n: int, rng: RngStream) -> DataMatrix:
 
     Row ``i`` uses the spawned child stream ``i`` of ``rng``, so it is a
     pure function of ``(master_seed, stream_id, i)`` and any set of rows
-    can be regenerated independently of traversal order.
+    can be regenerated independently of traversal order.  One generator
+    is re-stated per row and draws into a row block of at most
+    ``_BLOCK_DRAWS`` raw draws (one row when a row is longer), which is
+    transformed at once.
     """
     if p < 1 or n < 1:
         raise ParameterDomainError("matrix dimensions must be >= 1")
     if p * n > _MAX_ENTRIES:
         raise ResourceError(f"refusing to allocate {p}x{n} matrix")
+    width = _width(law)
+    rows = max(1, _BLOCK_DRAWS // (width * n))
+    # the seed is a placeholder: every row sets the state before drawing
+    bitgen = np.random.PCG64(0)
+    draw = _raw_sampler(law, np.random.Generator(bitgen))
+    states = rng.row_states(p)
     out = np.empty((p, n))
-    for i, gen in enumerate(rng.spawn_generators(p)):
-        out[i] = _draw(law, gen, (n,))
+    # one-draw laws draw into out and transform it in place; Student-t's
+    # two uniforms per entry go through one reused block buffer
+    buf = None if width == 1 else np.empty((min(rows, p), width, n))
+    for a in range(0, p, rows):
+        b = min(a + rows, p)
+        raw = out[a:b, None] if buf is None else buf[: b - a]
+        for r, (state, inc) in enumerate(states[a:b]):
+            bitgen.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            draw(out=raw[r])
+        _transform(law, raw.swapaxes(0, 1), out[a:b])
     return DataMatrix(out)

@@ -14,11 +14,31 @@ from corrlogdet import (
     fill_matrix,
 )
 from corrlogdet.moments import mc_moment_batches
-from corrlogdet.sampling import _draw
+from corrlogdet.sampling import _BLOCK_DRAWS, _draw
+
+MASK64 = (1 << 64) - 1
+
 
 def _entries(law, rng, count):
     """``count`` i.i.d. draws from the stream's root generator."""
     return _draw(law, rng.generator(), (count,))
+
+
+def _spawned_children(rng, count):
+    root = np.random.SeedSequence((rng.master_seed & MASK64, rng.stream_id & MASK64))
+    return root.spawn(count)
+
+
+def _spawned_states(rng, count):
+    states = [np.random.PCG64(c).state["state"] for c in _spawned_children(rng, count)]
+    return [(s["state"], s["inc"]) for s in states]
+
+
+def _spawned_rows(law, rng, p, n):
+    """Reference for fill_matrix: row i drawn by a PCG64 built from spawned child i."""
+    return np.vstack(
+        [_draw(law, np.random.Generator(np.random.PCG64(c)), (n,)) for c in _spawned_children(rng, p)]
+    )
 
 
 ALL_LAWS = [
@@ -82,6 +102,37 @@ def test_symmetric_law_bits_pinned(law):
     assert digests == PINNED_DIGESTS[law.family]
 
 
+KEY_WORDS = [0, 2**32 - 1, 2**32, 2**64 - 1, -1]
+
+
+@pytest.mark.parametrize("seed", KEY_WORDS)
+@pytest.mark.parametrize("stream", KEY_WORDS)
+def test_row_states_match_spawned_pcg64(seed, stream):
+    rng = RngStream(seed, stream)
+    assert rng.row_states(40) == _spawned_states(rng, 40)
+
+
+def test_row_states_past_two_to_the_sixteen_rows():
+    rng = RngStream(2**64 - 1, 2**32)
+    assert rng.row_states(2**16 + 5) == _spawned_states(rng, 2**16 + 5)
+
+
+# (p, n): several row blocks with a partial last block for every law, and
+# one row per block, longer than a block for Student-t's two uniforms
+BLOCK_SHAPES = [(150, 1000), (3, 2**15 + 7)]
+
+
+@pytest.mark.parametrize("shape", BLOCK_SHAPES, ids=["partial_last_block", "row_per_block"])
+@pytest.mark.parametrize("law", ALL_LAWS, ids=lambda law: law.family)
+def test_fill_matrix_matches_spawned_rows(law, shape):
+    p, n = shape
+    width = 2 if law.family == "student_t" else 1
+    rows = max(1, _BLOCK_DRAWS // (width * n))
+    assert (rows == 1) if n > 2**15 else (1 < rows < p and p % rows)
+    rng = RngStream(31, 2**64 - 1)
+    assert fill_matrix(law, p, n, rng).values.tobytes() == _spawned_rows(law, rng, p, n).tobytes()
+
+
 def test_distinct_streams_differ():
     law = TailLaw.gaussian()
     a = fill_matrix(law, 2, 8, RngStream(7, 0))
@@ -134,8 +185,8 @@ def test_non_finite_draw_names_its_entry():
     with np.errstate(divide="ignore", over="ignore"):
         with pytest.raises(ParameterDomainError) as err:
             fill_matrix(law, 200, 400, RngStream(0))
-        rows = [_draw(law, gen, (400,)) for gen in RngStream(0).spawn_generators(200)]
-    i, j = np.argwhere(~np.isfinite(np.vstack(rows)))[0]
+        rows = _spawned_rows(law, RngStream(0), 200, 400)
+    i, j = np.argwhere(~np.isfinite(rows))[0]
     assert re.search(rf"row {i}, column {j} is inf\b", str(err.value))
 
 
