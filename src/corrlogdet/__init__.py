@@ -45,7 +45,6 @@ from .moments import (
     fourth_moment_raw,
     fourth_moment_sphere,
     k_coefficients,
-    mc_moment_table,
     permutation_oracle,
     quadratic_form_moments,
     sphere_identity_residuals,

@@ -55,14 +55,14 @@ def law_constants(p: int, n: int) -> LawConstants:
     return LawConstants(p=p, n=n, mu_n=mu, sigma2_n=sigma2, c_n=_c_n(p, n))
 
 
-def standardize_corr(logdet_r: float, p: int, n: int) -> float:
-    """Standardized correlation log-determinant (asymptotically N(0,1))."""
+def standardize_corr(logdet_r: np.ndarray, p: int, n: int) -> np.ndarray:
+    """Standardized correlation log-determinants (asymptotically N(0,1))."""
     constants = law_constants(p, n)
     return (logdet_r - constants.mu_n) / math.sqrt(constants.sigma2_n)
 
 
-def standardize_cov(logdet_s: float, p: int, n: int, fourth_moment: float) -> float:
-    """Standardized covariance log-determinant for variance-one entries.
+def standardize_cov(logdet_s: np.ndarray, p: int, n: int, fourth_moment: float) -> np.ndarray:
+    """Standardized covariance log-determinants for variance-one entries.
 
     ``fourth_moment`` is E[X^4] of the (variance-one) entry; the variance
     expression can turn non-positive for fourth moments below 3 at extreme
@@ -93,25 +93,6 @@ def stirling_gap(p: int, n: int) -> float:
     return (p - n - 0.5) * math.log1p(-p / n) - p - _c_n(p, n)
 
 
-def kolmogorov_sf(lam: float) -> float:
-    """Survival function of the Kolmogorov distribution.
-
-    Alternating series ``2 * sum_{j>=1} (-1)^(j-1) exp(-2 j^2 lam^2)``,
-    truncated once the next term is below ``1e-10`` relative to the sum.
-    """
-    if lam <= 0.0:
-        return 1.0
-    total = 0.0
-    sign = 1.0
-    for j in range(1, 1001):
-        term = math.exp(-2.0 * j * j * lam * lam)
-        total += sign * term
-        if term <= 1e-10 * max(total, 1e-300):
-            break
-        sign = -sign
-    return min(1.0, max(0.0, 2.0 * total))
-
-
 class KsResult(NamedTuple):
     statistic: float
     p_value: float
@@ -132,7 +113,7 @@ def ks_test(samples: Sequence[float]) -> KsResult:
     d_plus = float(np.max(grid - cdf))
     d_minus = float(np.max(cdf - (grid - 1.0 / m)))
     stat = max(d_plus, d_minus)
-    return KsResult(statistic=stat, p_value=kolmogorov_sf(math.sqrt(m) * stat))
+    return KsResult(statistic=stat, p_value=float(special.kolmogorov(math.sqrt(m) * stat)))
 
 
 class SummaryMoments(NamedTuple):

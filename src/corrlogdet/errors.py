@@ -15,9 +15,9 @@ class NotPositiveDefiniteError(ArithmeticError):
     ``pivot`` is the 1-based index of the failing leading minor.
     """
 
-    def __init__(self, pivot: int, message: str | None = None):
+    def __init__(self, pivot: int):
         self.pivot = pivot
-        super().__init__(message or f"matrix not positive definite at pivot {pivot}")
+        super().__init__(f"matrix not positive definite at pivot {pivot}")
 
 
 class SingularStepError(ArithmeticError):
@@ -27,9 +27,9 @@ class SingularStepError(ArithmeticError):
     distance to the span of the previous rows was not positive.
     """
 
-    def __init__(self, step: int, message: str | None = None):
+    def __init__(self, step: int):
         self.step = step
-        super().__init__(message or f"non-positive determinant factor at step {step}")
+        super().__init__(f"non-positive determinant factor at step {step}")
 
 
 class IncompleteTableError(KeyError):

@@ -35,10 +35,6 @@ class DataMatrix:
         object.__setattr__(self, "values", v)
 
     @property
-    def p(self) -> int:
-        return self.values.shape[0]
-
-    @property
     def n(self) -> int:
         return self.values.shape[1]
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
@@ -74,21 +73,17 @@ class MomentTable:
     """Immutable map from canonical exponent keys to moment values.
 
     Keys are stored sorted descending, which makes the permutation
-    invariance of the underlying moments structural.  ``se`` optionally
-    holds standard errors for Monte Carlo estimated tables.
+    invariance of the underlying moments structural.
     """
 
     n: int
     moments: dict[tuple[int, ...], Number]
-    se: dict[tuple[int, ...], float] | None = field(default=None)
 
     def __post_init__(self):
         if self.n < 1:
             raise ParameterDomainError("table needs n >= 1")
         canonical = {moment_key(*k): v for k, v in self.moments.items()}
         object.__setattr__(self, "moments", canonical)
-        if self.se is not None:
-            object.__setattr__(self, "se", {moment_key(*k): float(v) for k, v in self.se.items()})
 
     def get(self, *exponents: int) -> Number:
         key = moment_key(*exponents)
@@ -588,22 +583,3 @@ def mc_moment_batches(
         for key in keys:
             out[key][b] = sums[key] / m_batch
     return out
-
-
-def mc_moment_table(law: TailLaw, n: int, reps: int, rng: RngStream) -> MomentTable:
-    """Monte Carlo sphere table with batch-means standard errors.
-
-    ``(2,)`` is pinned to exactly ``1/n`` (the sphere constraint makes the
-    estimator deterministic).  Requires ``reps >= 1000``.
-    """
-    if reps < 1000:
-        raise ParameterDomainError("moment estimation needs reps >= 1000")
-    batch_means = mc_moment_batches(law, n, reps, rng)
-    moments: dict[tuple[int, ...], Number] = {}
-    se: dict[tuple[int, ...], float] = {}
-    for key, means in batch_means.items():
-        moments[key] = float(np.mean(means))
-        se[key] = float(np.std(means, ddof=1) / math.sqrt(means.size))
-    moments[(2,)] = 1.0 / n
-    se[(2,)] = 0.0
-    return MomentTable(n=n, moments=moments, se=se)

@@ -3,9 +3,11 @@
 Four entry distributions are supported: standard normal, Student-t,
 symmetric Pareto (fair sign times a magnitude with survival function
 ``x**-alpha`` on ``[1, inf)``), and inverse gamma (optionally centered at
-zero by subtracting its population mean).  Each family carries its tail
-index and, where the tail is asymptotically ``c * x**-alpha``, the
-constant ``c``.
+zero by subtracting its population mean).  One table, ``_PARAMETERS``,
+names each family's positive parameters, the tail index first; the
+domain checks, ``tail_index`` and the config round trip all read it.
+Each family also carries, where the tail is asymptotically
+``c * x**-alpha``, the constant ``c``.
 
 Each matrix row draws from its own derived substream, so row ``i`` is a
 pure function of ``(master_seed, stream_id, i)`` regardless of traversal
@@ -37,7 +39,13 @@ _MASK64 = (1 << 64) - 1
 # u == 0 keeps the normal quantile transform finite.
 _OPEN_EPS = 2.0**-53
 
-_FAMILIES = ("gaussian", "student_t", "symmetric_pareto", "inverse_gamma")
+# Each family's positive parameters; the first is the tail index.
+_PARAMETERS = {
+    "gaussian": (),
+    "student_t": ("df",),
+    "symmetric_pareto": ("alpha",),
+    "inverse_gamma": ("shape", "scale"),
+}
 
 # Hard cap on matrix entries, refusing absurd allocations up front.
 _MAX_ENTRIES = 1 << 31
@@ -95,23 +103,12 @@ class TailLaw:
     centered: bool = True
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ParameterDomainError(f"unknown family {self.family!r}")
-        if self.family == "student_t":
-            if self.df is None or not self.df > 0:
-                raise ParameterDomainError("student_t requires df > 0")
-        elif self.family == "symmetric_pareto":
-            if self.alpha is None or not self.alpha > 0:
-                raise ParameterDomainError("symmetric_pareto requires alpha > 0")
-        elif self.family == "inverse_gamma":
-            if self.shape is None or not self.shape > 0:
-                raise ParameterDomainError("inverse_gamma requires shape > 0")
-            if self.scale is None or not self.scale > 0:
-                raise ParameterDomainError("inverse_gamma requires scale > 0")
-            if self.centered and not self.shape > 1:
-                raise ParameterDomainError(
-                    "centering needs shape > 1 for the mean to exist"
-                )
+        for name in _parameter_names(self.family):
+            value = getattr(self, name)
+            if value is None or not value > 0:
+                raise ParameterDomainError(f"{self.family} requires {name} > 0")
+        if self.family == "inverse_gamma" and self.centered and not self.shape > 1:
+            raise ParameterDomainError("centering needs shape > 1 for the mean to exist")
 
     @classmethod
     def gaussian(cls) -> "TailLaw":
@@ -132,13 +129,8 @@ class TailLaw:
     @property
     def tail_index(self) -> float:
         """Regular-variation index of ``P(|X| > x)``; ``inf`` for gaussian."""
-        if self.family == "gaussian":
-            return math.inf
-        if self.family == "student_t":
-            return self.df
-        if self.family == "symmetric_pareto":
-            return self.alpha
-        return self.shape
+        names = _PARAMETERS[self.family]
+        return getattr(self, names[0]) if names else math.inf
 
     @property
     def sv_constant(self) -> float | None:
@@ -217,34 +209,33 @@ class TailLaw:
 
     def to_config(self) -> dict:
         cfg: dict = {"family": self.family}
-        if self.family == "student_t":
-            cfg["df"] = self.df
-        elif self.family == "symmetric_pareto":
-            cfg["alpha"] = self.alpha
-        elif self.family == "inverse_gamma":
-            cfg.update(shape=self.shape, scale=self.scale, centered=self.centered)
+        cfg.update((name, getattr(self, name)) for name in _PARAMETERS[self.family])
+        if self.family == "inverse_gamma":
+            cfg["centered"] = self.centered
         return cfg
 
     @classmethod
     def from_config(cls, cfg: dict) -> "TailLaw":
         cfg = dict(cfg)
         family = cfg.pop("family", None)
-        if family == "gaussian":
-            law = cls.gaussian()
-        elif family == "student_t":
-            law = cls.student_t(_pop_number(cfg, "df"))
-        elif family == "symmetric_pareto":
-            law = cls.symmetric_pareto(_pop_number(cfg, "alpha"))
-        elif family == "inverse_gamma":
+        fields = {}
+        if family == "inverse_gamma":
             centered = cfg.pop("centered", True)
             if not isinstance(centered, bool):
                 raise ParameterDomainError(f"centered must be true or false, got {centered!r}")
-            law = cls.inverse_gamma(_pop_number(cfg, "shape"), _pop_number(cfg, "scale"), centered)
-        else:
-            raise ParameterDomainError(f"unknown family {family!r}")
+            fields["centered"] = centered
+        fields.update((name, _pop_number(cfg, name)) for name in _parameter_names(family))
+        law = cls(family=family, **fields)
         if cfg:
             raise ParameterDomainError(f"unexpected law fields {sorted(cfg)}")
         return law
+
+
+def _parameter_names(family) -> tuple[str, ...]:
+    """Positive parameters of ``family``, its tail index first."""
+    if not isinstance(family, str) or family not in _PARAMETERS:
+        raise ParameterDomainError(f"unknown family {family!r}")
+    return _PARAMETERS[family]
 
 
 def _pop_number(cfg: dict, name: str) -> float:
@@ -335,7 +326,9 @@ def _transform(law: TailLaw, raw: np.ndarray, out: np.ndarray | None = None) -> 
         return np.multiply(radius, np.cos(2.0 * np.pi * raw[1]), out=out)
     v = 2.0 * u - 1.0
     v[v == 0.0] = 1.0
-    return np.copysign(np.abs(v) ** (-1.0 / law.alpha), v, out=out)
+    np.abs(v, out=u)
+    u **= -1.0 / law.alpha
+    return np.copysign(u, v, out=out)
 
 
 def _draw(law: TailLaw, gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:

@@ -205,16 +205,8 @@ def resolve_parallelism(requested: int | None) -> int:
 
 
 def freedman_diaconis_histogram(x: np.ndarray) -> dict:
-    lo, hi = float(np.min(x)), float(np.max(x))
-    q75, q25 = np.percentile(x, [75.0, 25.0])
-    iqr = float(q75 - q25)
-    m = x.size
-    width = 2.0 * iqr * m ** (-1.0 / 3.0)
-    if width <= 0.0 or hi <= lo:
-        bins = max(1, int(math.ceil(math.sqrt(m))))
-    else:
-        bins = max(1, int(math.ceil((hi - lo) / width)))
-    counts, edges = np.histogram(x, bins=bins, range=(lo, hi) if hi > lo else (lo - 0.5, lo + 0.5))
+    """numpy's Freedman-Diaconis bins; one bin when the IQR is zero."""
+    counts, edges = np.histogram(x, bins="fd")
     return {"edges": [float(e) for e in edges], "counts": [int(c) for c in counts]}
 
 
@@ -247,22 +239,19 @@ def kde_curve(x: np.ndarray) -> dict:
     }
 
 
-def _replication_worker(config: ExperimentConfig, scale: float, fourth_moment: float):
+def _replication_worker(config: ExperimentConfig, scale: float):
     law, p, n = config.law, config.p, config.n
 
-    def run(rep: int) -> tuple[float, float, int | None]:
-        """log det, standardized value and, on a failed Cholesky, its pivot."""
+    def run(rep: int) -> tuple[float, int | None]:
+        """log det and, on a failed Cholesky, its pivot."""
         stream = RngStream(config.seed, rep)
         x = fill_matrix(law, p, n, stream)
         try:
             if config.statistic == "corr_logdet":
-                logdet = log_det_spd(sample_correlation(x))
-                return logdet, standardize_corr(logdet, p, n), None
-            scaled = DataMatrix(x.values / scale)
-            logdet = log_det_spd(sample_covariance(scaled))
-            return logdet, standardize_cov(logdet, p, n, fourth_moment), None
+                return log_det_spd(sample_correlation(x)), None
+            return log_det_spd(sample_covariance(DataMatrix(x.values / scale))), None
         except NotPositiveDefiniteError as exc:
-            return math.nan, math.nan, exc.pivot
+            return math.nan, exc.pivot
 
     return run
 
@@ -282,9 +271,8 @@ def run_simulation(config: ExperimentConfig) -> ExperimentReport:
             raise ConfigError("cov_logdet needs a finite fourth moment")
 
     workers = resolve_parallelism(config.parallelism)
-    worker = _replication_worker(config, scale, fourth_moment)
+    worker = _replication_worker(config, scale)
     logdets = np.empty(config.reps)
-    stats = np.empty(config.reps)
     flagged = np.zeros(config.reps, dtype=bool)
     flags = []
 
@@ -296,13 +284,16 @@ def run_simulation(config: ExperimentConfig) -> ExperimentReport:
     with single_blas_thread() as blas_threads, ThreadPoolExecutor(max_workers=workers) as pool:
         reps = range(config.reps)
         results = pool.map(worker, reps) if workers > 1 else map(worker, reps)
-        for rep, (logdet, stat, pivot) in enumerate(results):
+        for rep, (logdet, pivot) in enumerate(results):
             logdets[rep] = logdet
-            stats[rep] = stat
             if pivot is not None:
                 flagged[rep] = True
                 flags.append({"rep": rep, "pivot": pivot})
     wall = time.perf_counter() - start
+    if config.statistic == "corr_logdet":
+        stats = standardize_corr(logdets, config.p, config.n)
+    else:
+        stats = standardize_cov(logdets, config.p, config.n, fourth_moment)
 
     if np.mean(flagged) > _FLAG_BUDGET:
         raise NumericalFailure(

@@ -37,6 +37,7 @@ from .sampling import RngStream, TailLaw, fill_matrix
 
 GIRKO_REL_TOL = 1e-8
 ZERO_SUM_TOL = 1e-10
+ZERO_SUM_VECTORS = 1000
 STATE_TOL = 1e-10
 
 
@@ -125,11 +126,11 @@ def certify_sphere_identities(
     return report
 
 
-def certify_zero_sum(count: int = 1000, seed: int = 20241) -> VerificationReport:
+def certify_zero_sum(seed: int = 20241) -> VerificationReport:
     """Floating-point zero-sum check of the five coefficient polynomials."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(count):
+    for _ in range(ZERO_SUM_VECTORS):
         n = int(rng.integers(3, 41))
         raw = rng.uniform(0.05, 1.0, size=n)
         w = WeightVector.normalized([float(v) for v in raw])
@@ -139,7 +140,7 @@ def certify_zero_sum(count: int = 1000, seed: int = 20241) -> VerificationReport
     report.add(
         "zero-sum residual",
         worst <= ZERO_SUM_TOL,
-        f"{count} random weight vectors, max |sum of coefficients| = {worst:.3e}",
+        f"{ZERO_SUM_VECTORS} random weight vectors, max |sum of coefficients| = {worst:.3e}",
     )
     return report
 

@@ -13,7 +13,6 @@ from corrlogdet import (
     stirling_gap,
     summary_moments,
 )
-from corrlogdet.cltstats import kolmogorov_sf
 
 
 def test_constants_at_half_ratio():
@@ -88,13 +87,6 @@ def test_ks_matches_scipy():
     ref = stats.kstest(x, "norm", mode="asymp")
     assert ours.statistic == pytest.approx(ref.statistic, abs=1e-12)
     assert ours.p_value == pytest.approx(ref.pvalue, abs=1e-8)
-
-
-def test_kolmogorov_sf_matches_scipy():
-    for lam in (0.3, 0.5, 0.8, 1.0, 1.5, 2.0):
-        assert kolmogorov_sf(lam) == pytest.approx(float(special.kolmogorov(lam)), abs=1e-10)
-    assert kolmogorov_sf(0.0) == 1.0
-    assert kolmogorov_sf(10.0) < 1e-80
 
 
 def test_ks_calibration_under_null():

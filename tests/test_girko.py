@@ -15,10 +15,10 @@ from corrlogdet import (
     girko_log_det,
     law_constants,
     log_det_spd,
-    mc_moment_table,
     sample_correlation,
     self_normalize,
 )
+from mc_table import mc_moment_table
 
 
 def _dense_q(state: ProjectionState) -> np.ndarray:
@@ -318,7 +318,7 @@ def test_second_moment_identities_same_replications():
     # projector) has mean zero; symmetric entries required
     law = TailLaw.student_t(3.5)
     p, n, reps = 25, 80, 1500
-    table = mc_moment_table(law, n, 200000, RngStream(12))
+    table, _ = mc_moment_table(law, n, 200000, RngStream(12))
     b4 = table.get(4)
     b22 = table.get(2, 2)
 

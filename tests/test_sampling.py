@@ -14,7 +14,7 @@ from corrlogdet import (
     fill_matrix,
 )
 from corrlogdet.moments import mc_moment_batches
-from corrlogdet.sampling import _BLOCK_DRAWS, _draw
+from corrlogdet.sampling import _BLOCK_DRAWS, _PARAMETERS, _draw
 
 MASK64 = (1 << 64) - 1
 
@@ -324,6 +324,21 @@ def test_config_round_trip():
 def test_invalid_configs(bad):
     with pytest.raises(ParameterDomainError):
         TailLaw.from_config(bad)
+
+
+@pytest.mark.parametrize(
+    "family, name",
+    [(family, name) for family, names in _PARAMETERS.items() for name in names],
+)
+@pytest.mark.parametrize("value", [None, 0.0, -1.0, math.nan])
+def test_missing_or_nonpositive_parameter_is_named(family, name, value):
+    fields = {other: 3.5 for other in _PARAMETERS[family]}
+    if value is None:
+        del fields[name]
+    else:
+        fields[name] = value
+    with pytest.raises(ParameterDomainError, match=rf"^{family} requires {name} > 0$"):
+        TailLaw(family=family, **fields)
 
 
 def test_centering_requires_mean():

@@ -252,6 +252,17 @@ def test_histogram_freedman_diaconis_bins():
     assert sum(hist["counts"]) == x.size
 
 
+@pytest.mark.parametrize(
+    "x",
+    [np.full(50, 1.5), np.concatenate([np.zeros(47), [-1.0, 2.0, 3.0]])],
+    ids=["constant", "zero-iqr"],
+)
+def test_histogram_zero_iqr_is_one_bin(x):
+    hist = sim.freedman_diaconis_histogram(x)
+    assert hist["counts"] == [x.size]
+    assert len(hist["edges"]) == 2
+
+
 def test_kde_silverman_bandwidth():
     rng = np.random.default_rng(1)
     x = rng.normal(size=1000)

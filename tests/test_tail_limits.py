@@ -13,6 +13,7 @@ from corrlogdet import (
     standardized_tail_constant,
 )
 from corrlogdet.tail_limits import diagnostic_csv
+from mc_table import mc_moment_table
 
 
 def moment_limit_single(alpha: float, k: int) -> float:
@@ -99,10 +100,8 @@ def test_unit_exponent_diagnostic_is_exact():
 def test_pair_bridge_identity_exact_in_estimator():
     # n * (1 - n(n-1) * b22_hat) equals n^2 * b4_hat by construction of the
     # row estimators, mirroring the sphere recursion
-    from corrlogdet import mc_moment_table
-
     n = 40
-    tab = mc_moment_table(TailLaw.symmetric_pareto(3.5), n=n, reps=20000, rng=RngStream(2))
+    tab, _ = mc_moment_table(TailLaw.symmetric_pareto(3.5), n=n, reps=20000, rng=RngStream(2))
     lhs = n * (1.0 - n * (n - 1) * tab.get(2, 2))
     rhs = n * n * tab.get(4)
     assert lhs == pytest.approx(rhs, abs=1e-10)
