@@ -15,6 +15,10 @@ from scipy.linalg import lapack
 
 from .errors import DegenerateInputError, NotPositiveDefiniteError, ParameterDomainError
 
+# Rows squared at a time by the row norms: a p-by-n square of the whole
+# matrix would be a second X-sized temporary.
+_NORM_ROWS = 64
+
 
 @dataclass(frozen=True)
 class DataMatrix:
@@ -23,7 +27,8 @@ class DataMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.ascontiguousarray(np.asarray(self.values, dtype=float))
+        # writeable too: sample_correlation normalizes values in place
+        v = np.require(self.values, dtype=float, requirements=("C", "W"))
         if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
             raise ParameterDomainError("data matrix must be 2-D and nonempty")
         finite = np.isfinite(v)
@@ -43,22 +48,45 @@ def sample_covariance(x: DataMatrix) -> np.ndarray:
     """``X @ X.T / n``; numpy forms ``A @ A.T`` with ``syrk``, so it is
     exactly symmetric."""
     v = x.values
-    return v @ v.T / x.n
+    g = v @ v.T
+    g /= x.n
+    return g
 
 
-def self_normalize(x: DataMatrix) -> np.ndarray:
-    """Divide each row by its Euclidean norm; zero rows are an error."""
-    v = x.values
-    norms = np.linalg.norm(v, axis=1)
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(v, axis=1)`` bit for bit, squaring one block of at
+    most ``_NORM_ROWS`` rows at a time instead of all of ``v`` at once."""
+    norms = np.empty(v.shape[0])
+    for a in range(0, v.shape[0], _NORM_ROWS):
+        b = v[a : a + _NORM_ROWS]
+        np.sqrt(np.add.reduce(b * b, axis=1), out=norms[a : a + _NORM_ROWS])
+    return norms
+
+
+def _divide_rows(v: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """``v`` with each row divided by its Euclidean norm, into ``out``;
+    zero rows are an error and leave ``out`` untouched."""
+    norms = _row_norms(v)
     if np.any(norms == 0.0):
         bad = int(np.argmin(norms))
         raise DegenerateInputError(f"row {bad} has zero norm")
-    return v / norms[:, None]
+    return np.divide(v, norms[:, None], out=out)
+
+
+def self_normalize(x: DataMatrix) -> np.ndarray:
+    """Divide each row by its Euclidean norm; zero rows are an error.
+
+    Returns a new array and leaves ``x`` as it was."""
+    return _divide_rows(x.values, None)
 
 
 def sample_correlation(x: DataMatrix) -> np.ndarray:
-    """Correlation matrix ``Y @ Y.T`` with the diagonal pinned to exactly 1."""
-    y = self_normalize(x)
+    """Correlation matrix ``Y @ Y.T`` with the diagonal pinned to exactly 1.
+
+    Consumes ``x``: its rows are normalized in place, so ``x.values`` holds
+    ``Y`` (bit for bit ``self_normalize(x)``) afterwards.
+    """
+    y = _divide_rows(x.values, x.values)
     r = y @ y.T
     np.fill_diagonal(r, 1.0)
     return r
@@ -67,14 +95,22 @@ def sample_correlation(x: DataMatrix) -> np.ndarray:
 def log_det_spd(m: np.ndarray) -> float:
     """Log-determinant of a symmetric positive definite matrix via Cholesky.
 
+    Reads the upper triangle of ``m`` only; numpy forms ``A @ A.T``
+    exactly symmetric, so for the Gram matrices of this module both
+    triangles hold the same entries.  A C-ordered float ``m`` is consumed:
+    it is its own Fortran-ordered transpose, so ``dpotrf`` factors it in
+    place with no copy.  Any other ``m``, or a read-only one, is copied
+    first and left as it was.
+
     Raises :class:`NotPositiveDefiniteError` carrying the 1-based pivot
     index when a non-positive pivot is hit; callers decide policy (for a
     correlation matrix with p < n this signals a numerical breakdown).
     """
-    a = np.asarray(m, dtype=float)
+    # dpotrf overwrites its input even when numpy marks it read-only
+    a = np.require(m, dtype=float, requirements="W")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ParameterDomainError("log_det_spd needs a square matrix")
-    c, info = lapack.dpotrf(a, lower=1, overwrite_a=0)
+    c, info = lapack.dpotrf(a.T, lower=1, overwrite_a=1)
     if info > 0:
         raise NotPositiveDefiniteError(pivot=int(info))
     if info < 0:

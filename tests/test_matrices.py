@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
 from corrlogdet import (
     DataMatrix,
@@ -16,6 +17,7 @@ from corrlogdet import (
     sample_covariance,
     self_normalize,
 )
+from corrlogdet.matrices import _row_norms
 
 
 def _covariance_triple_loop(x: np.ndarray) -> np.ndarray:
@@ -71,6 +73,73 @@ def test_self_normalize_zero_row():
         self_normalize(DataMatrix(np.array([[0.0, 0.0], [1.0, 2.0]])))
 
 
+@pytest.mark.parametrize("p", [1, 63, 64, 65, 500])
+def test_block_row_norms_match_linalg_norm(p):
+    v = np.random.default_rng(p).standard_t(3.5, size=(p, 301))
+    assert np.array_equal(_row_norms(v), np.linalg.norm(v, axis=1))
+
+
+def test_sample_correlation_leaves_normalized_rows_in_its_argument():
+    x = fill_matrix(TailLaw.student_t(3.5), 70, 150, RngStream(5))
+    y = self_normalize(DataMatrix(x.values.copy()))
+    sample_correlation(x)
+    assert np.array_equal(x.values, y)
+
+
+def test_sample_correlation_zero_row_leaves_argument():
+    v = np.array([[1.0, 2.0], [0.0, 0.0], [3.0, -1.0]])
+    x = DataMatrix(v.copy())
+    with pytest.raises(DegenerateInputError, match="row 1 has zero norm"):
+        sample_correlation(x)
+    assert np.array_equal(x.values, v)
+
+
+def _layouts(m):
+    """``m`` as a C-ordered, a Fortran-ordered and a strided (sliced) array."""
+    big = np.zeros((2 * m.shape[0], 2 * m.shape[1]))
+    big[::2, ::2] = m
+    return {"C": m.copy(), "F": np.asfortranarray(m), "sliced": big[::2, ::2]}
+
+
+def test_log_det_spd_matches_copying_dpotrf():
+    r = sample_correlation(fill_matrix(TailLaw.student_t(3.5), 40, 90, RngStream(6)))
+    c, info = lapack.dpotrf(r.copy(), lower=1)
+    assert info == 0
+    expected = float(2.0 * np.sum(np.log(np.diag(c))))
+    for name, m in _layouts(r).items():
+        before = m.copy()
+        assert log_det_spd(m) == expected, name
+        if name != "C":
+            # only a C-ordered float matrix is factored in place
+            assert np.array_equal(m, before), name
+
+
+def test_read_only_inputs_are_not_written():
+    x = fill_matrix(TailLaw.gaussian(), 6, 20, RngStream(8)).values.copy()
+    x.flags.writeable = False
+    before = x.copy()
+    r = sample_correlation(DataMatrix(x))
+    assert np.array_equal(x, before)
+    expected = log_det_spd(r.copy())
+    r.flags.writeable = False
+    r_before = r.copy()
+    assert log_det_spd(r) == expected
+    assert np.array_equal(r, r_before)
+
+
+def test_log_det_spd_indefinite_keeps_pivot():
+    # the second pivot is 1 - 2**2 / 4 = 0
+    m = np.array(
+        [[4.0, 2.0, 0.0, 1.0], [2.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 3.0]]
+    )
+    info = lapack.dpotrf(m.copy(), lower=1)[1]
+    assert info == 2
+    for name, a in _layouts(m).items():
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            log_det_spd(a)
+        assert err.value.pivot == info, name
+
+
 def test_correlation_orthogonal_rows_identity():
     x = DataMatrix(np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, 2.0]]))
     r = sample_correlation(x)
@@ -88,8 +157,8 @@ def test_correlation_row_scale_invariance():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(5, 10))
     d = rng.uniform(0.1, 10.0, size=5)
-    r1 = sample_correlation(DataMatrix(x))
     r2 = sample_correlation(DataMatrix(d[:, None] * x))
+    r1 = sample_correlation(DataMatrix(x))
     assert np.max(np.abs(r1 - r2)) < 1e-13
 
 
@@ -107,16 +176,16 @@ def test_correlation_row_scale_invariance_property(seed, p, extra):
     rng = np.random.default_rng(seed)
     x = rng.standard_t(df=3.5, size=(p, n))
     d = np.exp(rng.uniform(-8.0, 8.0, size=p))
-    r1 = sample_correlation(DataMatrix(x))
     r2 = sample_correlation(DataMatrix(d[:, None] * x))
+    r1 = sample_correlation(DataMatrix(x))
     assert np.max(np.abs(r1 - r2)) < 1e-12
 
 
 def test_correlation_unit_diagonal_and_rescaled_covariance():
     x = fill_matrix(TailLaw.symmetric_pareto(3.5), 8, 40, RngStream(2))
+    s = sample_covariance(x)
     r = sample_correlation(x)
     assert np.all(np.diag(r) == 1.0)
-    s = sample_covariance(x)
     d = 1.0 / np.sqrt(np.diag(s))
     assert np.max(np.abs(r - d[:, None] * s * d[None, :])) < 1e-12
 

@@ -4,6 +4,9 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,6 +148,78 @@ def test_thread_count_does_not_change_statistics(monkeypatch):
     threaded = run_simulation(cfg)
     assert threaded.timing["threads"] == 4
     assert statistics_csv(serial) == statistics_csv(threaded)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 16])
+def test_auto_parallelism_follows_replication_size(monkeypatch, cpus):
+    monkeypatch.delenv("THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert sim.resolve_parallelism(None, 2**18 - 1) == 1
+    assert sim.resolve_parallelism(None, 100 * 400) == 1
+    assert sim.resolve_parallelism(None, 2**18) == min(8, cpus)
+    assert sim.resolve_parallelism(None, 500 * 1000) == min(8, cpus)
+    assert sim.resolve_parallelism(3, 1) == 3
+    assert sim.resolve_parallelism(3, 500 * 1000) == 3
+    monkeypatch.setenv("THREADS", "5")
+    assert sim.resolve_parallelism(None, 1) == 5
+    assert sim.resolve_parallelism(2, 500 * 1000) == 5
+
+
+def test_auto_threads_at_large_size_keep_csv_bytes(monkeypatch):
+    monkeypatch.delenv("THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cfg = _config(law=TailLaw.student_t(3.5), p=300, n=900, reps=8)
+    threaded = run_simulation(cfg)
+    serial = run_simulation(_config(law=TailLaw.student_t(3.5), p=300, n=900, reps=8, parallelism=1))
+    assert threaded.timing["threads"] == 2
+    assert serial.timing["threads"] == 1
+    assert statistics_csv(threaded) == statistics_csv(serial)
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_gram_stage_admits_one_replication_less_than_workers(monkeypatch, workers):
+    real = sim.sample_correlation
+    lock = threading.Lock()
+    active = {"now": 0, "max": 0}
+
+    def slow(x):
+        with lock:
+            active["now"] += 1
+            active["max"] = max(active["max"], active["now"])
+        try:
+            time.sleep(0.002)
+            return real(x)
+        finally:
+            with lock:
+                active["now"] -= 1
+
+    monkeypatch.delenv("THREADS", raising=False)
+    monkeypatch.setattr(sim, "sample_correlation", slow)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        report = run_simulation(_config(reps=64, parallelism=workers))
+    finally:
+        sys.setswitchinterval(interval)
+    assert report.timing["threads"] == workers
+    assert active["now"] == 0
+    assert active["max"] == workers - 1
+    monkeypatch.setattr(sim, "sample_correlation", real)
+    assert statistics_csv(report) == statistics_csv(run_simulation(_config(reps=64, parallelism=1)))
+
+
+def test_corr_replication_memory_is_x_plus_r():
+    p, n = 500, 1000
+    run = sim._replication_worker(_config(law=TailLaw.student_t(3.5), p=p, n=n), 1.0, 1)
+    tracemalloc.start()
+    try:
+        run(0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # X is normalized in place into Y and R is factored in place: no third
+    # matrix-sized buffer
+    assert peak <= 1.1 * (p * n + p * p) * 8
 
 
 def test_threads_env_validation(monkeypatch):
