@@ -22,7 +22,13 @@ _NORM_ROWS = 64
 
 @dataclass(frozen=True)
 class DataMatrix:
-    """Dense p-by-n data matrix; rows are variables, columns observations."""
+    """Dense p-by-n data matrix; rows are variables, columns observations.
+
+    ``values`` is the caller's array itself whenever that is already a
+    writeable C-ordered float array, and :func:`sample_correlation`
+    normalizes it in place: pass a copy to keep the raw data.  Any other
+    input (read-only, another dtype or layout) is copied first.
+    """
 
     values: np.ndarray
 

@@ -320,19 +320,10 @@ def _transform(law: TailLaw, raw: np.ndarray, out: np.ndarray | None = None) -> 
         return special.ndtri(u, out=out)
     if law.family == "student_t":
         # Polar representation of the bivariate t: radius from one uniform,
-        # angle from the other; the marginal is exactly Student-t.  Both
-        # chains, sqrt(df * ((1 - u)**(-2/df) - 1)) and cos(2*pi * w), run
-        # in place; IEEE products do not depend on the operands' order.
+        # angle from the other; the marginal is exactly Student-t.
         df = law.df
-        np.subtract(1.0, u, out=u)
-        u **= -2.0 / df
-        u -= 1.0
-        u *= df
-        np.sqrt(u, out=u)
-        w = raw[1]
-        w *= 2.0 * np.pi
-        np.cos(w, out=w)
-        return np.multiply(u, w, out=out)
+        radius = np.sqrt(df * ((1.0 - u) ** (-2.0 / df) - 1.0))
+        return np.multiply(radius, np.cos(2.0 * np.pi * raw[1]), out=out)
     v = 2.0 * u - 1.0
     v[v == 0.0] = 1.0
     np.abs(v, out=u)

@@ -32,10 +32,11 @@ _KDE_POINTS = 256
 _KDE_BLOCK = 16
 
 # Replication threads hand the interpreter lock over at every per-row
-# draw.  That CPU cost per row is small beside a replication's native work
-# only from about this many entries, whatever the core count (1 -> 2
-# workers on 2 CPUs: Gaussian 100x400 CPU +31% for wall -14%, t(3.5)
-# 500x1000 CPU +2% for wall -39%).
+# draw.  On 2 CPUs that CPU cost per row is small beside a replication's
+# native work only from about this many entries (1 -> 2 workers: Gaussian
+# 100x400 CPU +31% for wall -14%, t(3.5) 500x1000 CPU +2% for wall -39%).
+# With 4 or more CPUs every size keeps min(8, cpus) workers: smaller
+# replications were never measured there.
 _THREADED_ENTRIES = 1 << 18
 
 
@@ -195,7 +196,7 @@ class ExperimentReport:
 
 def resolve_parallelism(requested: int | None, entries: int) -> int:
     """THREADS environment variable wins, then the config, then a default
-    set by the ``entries`` (p * n) of one replication."""
+    set by the CPU count and the ``entries`` (p * n) of one replication."""
     env = os.environ.get("THREADS")
     if env:
         try:
@@ -208,7 +209,7 @@ def resolve_parallelism(requested: int | None, entries: int) -> int:
     if requested is not None:
         return requested
     cpus = os.cpu_count() or 1
-    return min(8, cpus) if entries >= _THREADED_ENTRIES else 1
+    return min(8, cpus) if cpus >= 4 or entries >= _THREADED_ENTRIES else 1
 
 
 def freedman_diaconis_histogram(x: np.ndarray) -> dict:
@@ -250,7 +251,8 @@ def _replication_worker(config: ExperimentConfig, scale: float, workers: int):
     law, p, n = config.law, config.p, config.n
     # At most workers - 1 replications form and factor their Gram matrix at
     # once, while sampling runs on every worker: two Gram stages at a time
-    # keep two p-by-p matrices and two BLAS packing buffers resident.
+    # keep two p-by-p matrices and two BLAS packing buffers resident.  Only
+    # measured at 2 workers, where this is a plain lock.
     gram_stage = threading.BoundedSemaphore(max(1, workers - 1))
 
     def run(rep: int) -> tuple[float, int | None]:
