@@ -29,7 +29,7 @@ from .errors import (
     ResourceError,
     SingularStepError,
 )
-from .girko import GirkoTrace, ProjectionState, girko_log_det
+from .girko import GirkoTrace, girko_log_det
 from .matrices import (
     DataMatrix,
     log_det_spd,

@@ -11,15 +11,22 @@ where ``c_n = sum_{j<p} log(1 - j/n)`` and ``z[i]`` measures how far row
 ``z[i] = (n * y' P y - (n - i)) / (n - i)`` with ``P`` the orthogonal
 projector onto the complement of the span of rows ``0..i-1``.
 
-The projector is never formed densely on the normal path: quadratic forms
-are evaluated through an incrementally maintained orthonormal basis, and
-the diagonal of the unit-trace projector ``Q = P / (n - i)`` is tracked as
-``(1 - load_k) / (n - i)`` where ``load_k`` accumulates squared basis
-coordinates.  An audit mode keeps the unscaled projector ``P`` densely to
-check the entry bounds of ``Q``.  ``P`` stays exactly symmetric (IEEE
-products commute), so only its upper triangle is updated and scanned, in
-row blocks of bounded scratch; one pass per step both applies the rank-one
-update and reads the bounds of the next step.
+Every step comes from one Householder QR factorization ``Y' = U R``
+(Golub & Van Loan, *Matrix Computations*, section 5.2).  The first ``i``
+columns of ``U`` span rows ``0..i-1``, so the squared distance ``y' P y``
+of row ``i`` is ``R[i, i]**2``, and the diagonal of
+``P = I - U[:, :i] U[:, :i]'`` is ``1 - sum_{k<i} U[:, k]**2``, an
+exclusive cumulative sum of the squared basis.  The statistics of every
+step are then array work on ``U'``, one contiguous row per step, with the
+unit-trace projector ``Q_i = P / (n - i)``.  The factorization runs with
+BLAS pinned to one thread: on these tall, thin matrices threaded OpenBLAS
+was slower (8.7 against 3.2 ms at p = 100, n = 500 on 2 CPUs).
+
+An audit mode keeps the unscaled projector ``P`` densely to check the
+entry bounds of ``Q_i``.  ``P`` stays exactly symmetric (IEEE products
+commute), so only its upper triangle is updated and scanned, in row blocks
+of bounded scratch; one pass per step both applies the rank-one update
+by column ``i`` of ``U`` and reads the bounds of the next step.
 
 Each step statistic splits into a diagonal part driven by fourth-moment
 behavior and an off-diagonal bilinear part that carries the asymptotic
@@ -30,85 +37,17 @@ variance:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
+from .blas import single_blas_thread
 from .cltstats import _c_n
 from .errors import ParameterDomainError, SingularStepError
 
-_REORTH_TOL = 1e-10
-_MAX_REORTH = 6
 # Entries per row block of the bound audit, and of its rank-one scratch.
 _AUDIT_BLOCK_ENTRIES = 1 << 16
-
-
-class ProjectionState:
-    """Orthonormal basis of the span of absorbed rows inside R^n.
-
-    Exposes the quantities the recursion needs at step ``i``: the squared
-    residual of a new row, the diagonal of the scaled complement projector
-    ``Q_i`` and power sums of that diagonal.
-    """
-
-    def __init__(self, n: int, capacity: int | None = None):
-        if n < 1:
-            raise ParameterDomainError("ambient dimension must be >= 1")
-        self.n = n
-        self._basis = np.zeros((capacity if capacity is not None else n, n))
-        self._count = 0
-        # diag_load[k] = sum of squared k-th coordinates over basis vectors
-        self._diag_load = np.zeros(n)
-
-    @property
-    def scale(self) -> int:
-        return self.n - self._count
-
-    def basis(self) -> np.ndarray:
-        return self._basis[: self._count]
-
-    def _residual(self, y: np.ndarray) -> np.ndarray:
-        """Component of y orthogonal to the basis, re-orthogonalized.
-
-        One re-orthogonalization pass is always applied; if the correction
-        is still above tolerance (nearly dependent rows), further passes
-        run until it is negligible.
-        """
-        b = self.basis()
-        r = y - b.T @ (b @ y) if self._count else y.copy()
-        for _ in range(_MAX_REORTH):
-            if not self._count:
-                break
-            c = b @ r
-            correction = math.sqrt(float(c @ c))
-            r = r - b.T @ c
-            if correction <= _REORTH_TOL * max(1.0, math.sqrt(float(r @ r))):
-                break
-        return r
-
-    def q_diag(self) -> np.ndarray:
-        """Diagonal of the unit-trace complement projector Q_i."""
-        return (1.0 - self._diag_load) / self.scale
-
-    def diag_power_sums(self) -> tuple[float, ...]:
-        """Power sums ``sum_k q_kk^j`` for j = 1..4."""
-        qd = self.q_diag()
-        return tuple(float(np.sum(qd**j)) for j in range(1, 5))
-
-    def absorb(self, y: np.ndarray) -> float:
-        """Add a row to the span; returns its squared residual norm."""
-        if self._count >= min(self.n, self._basis.shape[0]):
-            raise ParameterDomainError("projection state is at capacity")
-        r = self._residual(np.asarray(y, dtype=float))
-        rsq = float(r @ r)
-        if rsq <= 0.0 or not math.isfinite(rsq):
-            raise SingularStepError(step=self._count)
-        u = r / math.sqrt(rsq)
-        self._basis[self._count] = u
-        self._count += 1
-        self._diag_load += u * u
-        return rsq
 
 
 @dataclass(frozen=True)
@@ -186,19 +125,44 @@ def girko_log_det(y: np.ndarray, record_bounds: bool = False) -> GirkoTrace:
     """Run the full recursion over the rows of a unit-norm matrix.
 
     Requires p <= n and (almost surely satisfied for continuous data)
-    linearly independent rows; a step with non-positive residual raises
-    :class:`SingularStepError` with the step index.
+    linearly independent rows; the first row that is not finite or whose
+    factor ``1 + z`` is not positive raises :class:`SingularStepError`
+    with its step index.
     """
     rows = np.asarray(y, dtype=float)
     p, n = rows.shape
-    if not p <= n:
-        raise ParameterDomainError("recursion requires p <= n")
+    if n < 1 or p > n:
+        raise ParameterDomainError("recursion requires 1 <= n and p <= n")
 
-    state = ProjectionState(n, capacity=p)
-    z = np.empty(p)
-    u = np.empty(p)
-    v = np.empty(p)
-    sums = np.empty((p, 4))
+    finite = np.isfinite(rows).all(axis=1)
+    stop = p if finite.all() else int(np.argmin(finite))
+    with single_blas_thread():
+        basis, r = scipy.linalg.qr(rows[:stop].T, mode="economic", check_finite=False)
+    m = n - np.arange(stop)
+    rsq = np.diag(r) ** 2
+    z = (n * rsq - m) / m
+    # a zero or underflowed factor leaves z at -1, an overflowed one at inf
+    ok = (z > -1.0) & (z < np.inf)
+    if not ok.all() or stop < p:
+        raise SingularStepError(step=stop if ok.all() else int(np.argmin(ok)))
+
+    # step-major: row i of U' is the unit vector that step i adds to the span
+    ut = basis.T
+    # diag[i] = diagonal of P before step i, 1 minus an exclusive cumsum
+    diag = np.empty((p, n))
+    diag[:1] = 0.0
+    np.square(ut[:-1], out=diag[1:])
+    np.cumsum(diag, axis=0, out=diag)
+    np.subtract(1.0, diag, out=diag)
+    ypy = np.einsum("ij,ij,ij->i", diag, rows, rows)
+    u = (n * ypy - m) / m
+    v = n * (rsq - ypy) / m
+
+    qd = np.divide(diag, m[:, None], out=diag)
+    q2 = qd * qd
+    cubes, fourths = np.einsum("ij,ij->i", q2, qd), np.einsum("ij,ij->i", q2, q2)
+    sums = np.stack([qd.sum(axis=1), q2.sum(axis=1), cubes, fourths], axis=1)
+
     if record_bounds:
         # blocks hold the upper triangle of the unscaled projector P_i;
         # bounds are checked on Q_i = P_i / (n - i) without scaled copies
@@ -206,32 +170,17 @@ def girko_log_det(y: np.ndarray, record_bounds: bool = False) -> GirkoTrace:
         scratch = np.empty(blocks[0].size)
         bounds = np.empty((4, p))
         audit = _audit_pass(blocks, None, scratch)
-
-    for i in range(p):
-        row = rows[i]
-        m = state.scale
-        ysq = float(row @ row)
-        load_y = float(state._diag_load @ (row * row))
-        u[i] = (n * (ysq - load_y) - m) / m
-        sums[i] = state.diag_power_sums()
-
-        if record_bounds:
-            diag, hi, lo = audit
+        for i in range(p):
+            scale = n - i
+            pdiag, hi, lo = audit
             bounds[:, i] = (
-                float(diag.min()) / m,
-                float(diag.max()) / m,
-                max(hi, -lo) / m,
-                abs(float(diag.sum()) / m - 1.0),
+                float(pdiag.min()) / scale,
+                float(pdiag.max()) / scale,
+                max(hi, -lo) / scale,
+                abs(float(pdiag.sum()) / scale - 1.0),
             )
-
-        rsq = state.absorb(row)
-        z[i] = (n * rsq - m) / m
-        v[i] = n * (rsq - ysq + load_y) / m
-        if not z[i] > -1.0:
-            # n * rsq / m underflowed; the factor is numerically zero
-            raise SingularStepError(step=i)
-        if record_bounds and i + 1 < p:
-            audit = _audit_pass(blocks, state.basis()[-1], scratch)
+            if i + 1 < p:
+                audit = _audit_pass(blocks, ut[i], scratch)
 
     diag_min, diag_max, offdiag_max, trace_error = bounds if record_bounds else (None,) * 4
     return GirkoTrace(

@@ -7,7 +7,6 @@ import scipy.linalg
 from corrlogdet import girko
 from corrlogdet import (
     ParameterDomainError,
-    ProjectionState,
     RngStream,
     SingularStepError,
     TailLaw,
@@ -18,30 +17,14 @@ from corrlogdet import (
     sample_correlation,
     self_normalize,
 )
+from corrlogdet.blas import single_blas_thread
+from dense_projector import dense_q
 from mc_table import mc_moment_table
-
-
-def _dense_q(state: ProjectionState) -> np.ndarray:
-    """Materialized unit-trace projector Q_i = (I - B'B) / (n - i)."""
-    b = state.basis()
-    return (np.eye(state.n) - b.T @ b) / state.scale
-
-
-def _state_from_rows(rows: np.ndarray) -> ProjectionState:
-    state = ProjectionState(rows.shape[1])
-    for row in rows:
-        state.absorb(row)
-    return state
 
 
 def _random_rows(p, n, seed, law=None):
     law = law or TailLaw.gaussian()
     return self_normalize(fill_matrix(law, p + 1, n, RngStream(seed)))
-
-
-def _random_state(p, n, seed, law=None):
-    y = _random_rows(p, n, seed, law)
-    return _state_from_rows(y[:p]), y[p]
 
 
 def test_single_row_trace():
@@ -85,14 +68,19 @@ def test_matches_cholesky_random_cases(law):
     [TailLaw.gaussian(), TailLaw.student_t(3.5), TailLaw.symmetric_pareto(3.5)],
     ids=lambda law: law.family,
 )
-def test_step_statistics_match_qr_oracle(law):
-    # r_ii^2 of a QR factorization of Y' is the squared distance of row i to
-    # the span of rows 0..i-1, so a defect in the recursion shows at its step
-    p, n = 200, 400
+def test_step_statistics_match_least_squares_oracle(law):
+    # the residual of the least-squares fit of row i on rows 0..i-1 is its
+    # distance to their span, so a defect in the recursion shows at its step
+    p, n = 60, 120
     y = self_normalize(fill_matrix(law, p, n, RngStream(16)))
-    r = scipy.linalg.qr(y.T, mode="r")[0]
+    rsq = np.empty(p)
+    rsq[0] = y[0] @ y[0]
+    for i in range(1, p):
+        coef = np.linalg.lstsq(y[:i].T, y[i], rcond=None)[0]
+        resid = y[i] - y[:i].T @ coef
+        rsq[i] = resid @ resid
     m = n - np.arange(p)
-    expected = (n * np.diag(r) ** 2 - m) / m
+    expected = (n * rsq - m) / m
     assert np.max(np.abs(girko_log_det(y).z_tilde - expected)) < 1e-12
 
 
@@ -119,7 +107,7 @@ def test_split_uv_basis_vector_row():
     e1[0] = 1.0
     trace = girko_log_det(np.vstack([rows, e1]))
     u, v = trace.u_part[6], trace.v_part[6]
-    q11 = _state_from_rows(rows).q_diag()[0]
+    q11 = dense_q(rows, n)[0, 0]
     assert u == pytest.approx(q11 * (n - 1) - (1.0 - q11), abs=1e-12)
     assert v == pytest.approx(0.0, abs=1e-12)
 
@@ -128,7 +116,7 @@ def test_split_uv_against_dense_oracle():
     rows = _random_rows(12, 40, 6, TailLaw.student_t(3.5))
     y = rows[12]
     n = 40
-    q = _dense_q(_state_from_rows(rows[:12]))
+    q = dense_q(rows[:12], n)
     u_direct = float(np.sum(np.diag(q) * (n * y * y - 1.0)))
     off = q - np.diag(np.diag(q))
     v_direct = float(n * y @ off @ y)
@@ -142,16 +130,15 @@ def test_split_uv_against_dense_oracle():
 
 def test_diag_power_sums_initial_state():
     n = 17
-    state = ProjectionState(n)
-    sums = state.diag_power_sums()
-    assert sums == pytest.approx(tuple(n ** (1 - j) for j in range(1, 5)), rel=1e-14)
+    sums = girko_log_det(_random_rows(3, n, 14)).power_sums[0]
+    assert tuple(sums) == pytest.approx(tuple(n ** (1 - j) for j in range(1, 5)), rel=1e-14)
 
 
 def test_diag_power_sums_against_dense_oracle():
-    state, _ = _random_state(10, 50, 7)
-    q = _dense_q(state)
+    rows = _random_rows(10, 50, 7)
+    q = dense_q(rows[:10], 50)
     dense_sums = tuple(float(np.sum(np.diag(q) ** j)) for j in range(1, 5))
-    sums = state.diag_power_sums()
+    sums = tuple(girko_log_det(rows).power_sums[10])
     assert sums == pytest.approx(dense_sums, abs=1e-12)
     assert sums[0] == pytest.approx(1.0, abs=1e-12)
     # Jensen lower bound and max-entry upper bound on the second power sum
@@ -159,16 +146,15 @@ def test_diag_power_sums_against_dense_oracle():
     assert 1.0 - 1e-12 <= n * sums[1] <= n / (n - i) + 1e-12
 
 
-def test_projection_state_orthonormal_basis():
-    state, _ = _random_state(15, 40, 8, TailLaw.symmetric_pareto(3.5))
-    b = state.basis()
-    gram = b @ b.T
-    assert np.max(np.abs(gram - np.eye(15))) < 1e-10
-
-
 def test_dense_q_matches_tracked_diagonal():
-    state, _ = _random_state(9, 30, 9)
-    assert np.max(np.abs(np.diag(_dense_q(state)) - state.q_diag())) < 1e-12
+    # a basis-vector row e_k at step i reads out u = n q_kk - 1, so probing
+    # every k recovers the whole diagonal the recursion tracks
+    n = 30
+    rows = _random_rows(9, n, 9)[:9]
+    tracked = np.empty(n)
+    for k, e_k in enumerate(np.eye(n)):
+        tracked[k] = (girko_log_det(np.vstack([rows, e_k])).u_part[9] + 1.0) / n
+    assert np.max(np.abs(np.diag(dense_q(rows, n)) - tracked)) < 1e-12
 
 
 def test_duplicate_row_is_singular():
@@ -182,6 +168,25 @@ def test_duplicate_row_is_singular():
 def test_rejects_more_rows_than_columns():
     with pytest.raises(ParameterDomainError):
         girko_log_det(np.vstack([np.eye(3), np.eye(3)]))
+
+
+@pytest.mark.parametrize(
+    "edits, step",
+    [
+        ([(2, 2, np.nan)], 2),
+        ([(3, 0, np.inf)], 3),
+        ([(1, slice(None), 0.0)], 1),
+        ([(1, slice(None), 0.0), (3, 0, np.nan)], 1),
+    ],
+    ids=["nan", "inf", "zero_row", "zero_row_before_nan"],
+)
+def test_singular_step_reports_first_failing_row(edits, step):
+    y = np.eye(6)[:4]
+    for row, col, value in edits:
+        y[row, col] = value
+    with pytest.raises(SingularStepError) as err:
+        girko_log_det(y)
+    assert err.value.step == step
 
 
 def test_trace_invariants():
@@ -200,14 +205,16 @@ def _dense_audit(y: np.ndarray) -> np.ndarray:
     """Bound audit with the full n-by-n projector and a dense outer product.
 
     Rows: diag_min, diag_max, offdiag_max, trace_error of Q_i per step.
+    The rank-one vectors are the columns of the same QR factor that
+    ``girko_log_det`` uses, so the two agree bit for bit.
     """
     p, n = y.shape
-    state = ProjectionState(n, capacity=p)
+    basis = scipy.linalg.qr(y.T, mode="economic")[0]
     dense = np.eye(n)
     outer = np.empty((n, n))
     out = np.empty((4, p))
     for i in range(p):
-        m = state.scale
+        m = n - i
         diag = dense.diagonal().copy()
         np.fill_diagonal(dense, 0.0)
         out[:, i] = (
@@ -217,9 +224,7 @@ def _dense_audit(y: np.ndarray) -> np.ndarray:
             abs(float(diag.sum()) / m - 1.0),
         )
         np.fill_diagonal(dense, diag)
-        state.absorb(y[i])
-        u = state.basis()[-1]
-        np.outer(u, u, out=outer)
+        np.outer(basis[:, i], basis[:, i], out=outer)
         np.subtract(dense, outer, out=dense)
     return out
 
@@ -238,11 +243,12 @@ def test_blocked_audit_is_bit_identical_to_dense(p, n, blocks, law):
     rows = max(1, girko._AUDIT_BLOCK_ENTRIES // n)
     assert -(-n // rows) == blocks
     y = self_normalize(fill_matrix(law, p, n, RngStream(17)))
-    audited = girko_log_det(y, record_bounds=True)
-    plain = girko_log_det(y)
+    with single_blas_thread():
+        audited = girko_log_det(y, record_bounds=True)
+        plain = girko_log_det(y)
+        expected = _dense_audit(y)
     for name in ("z_tilde", "u_part", "v_part", "power_sums"):
         assert np.array_equal(getattr(audited, name), getattr(plain, name)), name
-    expected = _dense_audit(y)
     for k, name in enumerate(("diag_min", "diag_max", "offdiag_max", "trace_error")):
         assert np.array_equal(getattr(audited, name), expected[k]), name
 

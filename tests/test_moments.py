@@ -332,14 +332,11 @@ def test_sphere_fourth_moment_vs_monte_carlo():
     # weights from the diagonal of a random unit-trace projector, moments
     # from the exact uniform-sphere table, target estimated by simulation
     from corrlogdet import fill_matrix, self_normalize
-    from corrlogdet.girko import ProjectionState
+    from dense_projector import dense_q
 
     n, i = 30, 5
     x = fill_matrix(TailLaw.gaussian(), i, n, RngStream(11))
-    state = ProjectionState(n)
-    for row in self_normalize(x):
-        state.absorb(row)
-    a = state.q_diag()
+    a = np.diag(dense_q(self_normalize(x), n))
     w = WeightVector(tuple(float(v) for v in a))
     t = uniform_sphere_table(n, exact=False)
     predicted = fourth_moment_sphere(w, t)
