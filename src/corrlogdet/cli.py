@@ -40,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out-svg", default=None, help="override the SVG figure path")
 
     vm = sub.add_parser("verify-moments", help="exact-rational certification of the identities")
-    vm.add_argument("--nmax", type=int, default=6, help="largest coordinate count (3..nmax)")
+    vm.add_argument("--nmax", type=int, default=6, help="largest coordinate count, 3 to 8")
     vm.add_argument("--vectors", type=int, default=50, help="random unit vectors per n")
     vm.add_argument("--trials", type=int, default=20, help="enumeration-equivalence trials per n")
     vm.add_argument("--seed", type=int, default=20243)

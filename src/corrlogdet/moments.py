@@ -19,12 +19,17 @@ All evaluators are generic over the number type: run them on
 ``fractions.Fraction`` inputs for exact certification, on floats for
 production.  Brute-force enumeration oracles over (signed) coordinate
 permutations of a fixed vector provide the independent ground truth.
+The oracles are exact only: they take ints, ``Fraction``s or finite
+floats (converted exactly), enumerate in integers over common
+denominators and always return ``Fraction``s.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
@@ -380,14 +385,25 @@ def quadratic_form_moments(
     return QuadraticFormMoments(third_central, third_raw, cross_second)
 
 
+def _common_denominator(values: Iterable[Number]) -> tuple[list[int], int]:
+    """Integers ``k_i`` and one denominator ``d`` with ``values[i] == k_i / d``.
+
+    Each value is converted exactly by ``Fraction()``: an int, a
+    ``Fraction`` or a finite float.
+    """
+    exact = [Fraction(v) for v in values]
+    d = math.lcm(*(f.denominator for f in exact))
+    return [f.numerator * (d // f.denominator) for f in exact], d
+
+
 def permutation_oracle(z: Sequence[Number]) -> MomentTable:
     """Exact moment table of Z uniform over (signed) permutations of ``z``.
 
     The law is exchangeable and sign-symmetric with
     ``sum Z_k^2 = |z|^2``; normalize ``z`` to unit norm to obtain a
     sphere table.  Even moments do not depend on the signs, so the
-    enumeration runs over the n! permutations; values are exact when the
-    entries of ``z`` are rational.  Every key of half-degree <= 4 is
+    enumeration runs over the n! permutations, in integers after scaling
+    ``z`` to one common denominator.  Every key of half-degree <= 4 is
     tabulated; keys with more distinct indices than coordinates
     have empty support and are stored as exact zeros (every identity
     multiplies them by a coefficient that vanishes there).
@@ -395,21 +411,23 @@ def permutation_oracle(z: Sequence[Number]) -> MomentTable:
     n = len(z)
     if n < 1 or n > _MAX_ORACLE_N:
         raise ResourceError(f"enumeration oracle supports 1 <= n <= {_MAX_ORACLE_N}")
-    z2 = [v * v for v in z]
-    one = _one_like(z2)
-    pows = [[one] + [v**k for k in range(1, 5)] for v in z2]
+    iz, d = _common_denominator(z)
+    pows = [[(v * v) ** k for k in range(5)] for v in iz]
     keys = [k for k in ALL_KEYS if len(k) <= n]
     halves = {key: tuple(e // 2 for e in key) for key in keys}
-    totals = {key: 0 * one for key in ALL_KEYS}
-    count = 0
+    totals = {key: 0 for key in ALL_KEYS}
     for perm in itertools.permutations(range(n)):
-        count += 1
         for key in keys:
-            value = one
+            value = 1
             for slot, k in enumerate(halves[key]):
-                value = value * pows[perm[slot]][k]
+                value *= pows[perm[slot]][k]
             totals[key] += value
-    return MomentTable(n=n, moments={key: total / count for key, total in totals.items()})
+    # a key of total exponent e carries the denominator d^e
+    count = math.factorial(n)
+    return MomentTable(
+        n=n,
+        moments={key: Fraction(total, count * d ** sum(key)) for key, total in totals.items()},
+    )
 
 
 def enumerated_weighted_power(
@@ -418,22 +436,25 @@ def enumerated_weighted_power(
     power: int,
     shift: Number = 0,
     factor: Number = 1,
-) -> Number:
+) -> Fraction:
     """Brute-force ``E[(factor * sum_k a_k Z_k^2 + shift)^power]`` where Z
-    runs over the permutations of ``z``.  Exact for rational inputs."""
+    runs over the permutations of ``z``, summed in integers after scaling
+    ``a``, ``z`` and ``(factor, shift)`` to common denominators."""
     n = len(z)
     if n != len(a):
         raise ParameterDomainError("weights and support vector must have equal length")
     if n > _MAX_ORACLE_N or power > _MAX_ORACLE_DEGREE:
         raise ResourceError("enumeration exceeds the oracle size caps")
-    z2 = [v * v for v in z]
-    total = 0 * _one_like(z2)
-    count = 0
-    for perm in itertools.permutations(range(n)):
-        s = sum(a[k] * z2[perm[k]] for k in range(n))
-        total += (factor * s + shift) ** power
-        count += 1
-    return total / count
+    ia, da = _common_denominator(a)
+    iz, dz = _common_denominator(z)
+    (i_factor, i_shift), d_fs = _common_denominator((factor, shift))
+    # sum_k a_k Z_k^2 = s / scale
+    scale = da * dz * dz
+    total = 0
+    for perm in itertools.permutations([v * v for v in iz]):
+        s = sum(map(operator.mul, ia, perm))
+        total += (i_factor * s + i_shift * scale) ** power
+    return Fraction(total, math.factorial(n) * (d_fs * scale) ** power)
 
 
 def enumerated_quadratic_form_moments(a_mat, b_mat, z: Sequence[Number]) -> QuadraticFormMoments:
@@ -442,36 +463,43 @@ def enumerated_quadratic_form_moments(a_mat, b_mat, z: Sequence[Number]) -> Quad
     Enumerates the full ``2^n * n!`` support of Z (uniform over signed
     permutations of ``z``) and reduces the raw moments of ``z' A z``; this
     is the independent ground truth for :func:`quadratic_form_moments`.
+    ``A``, ``B`` and ``z`` are scaled to integers, so the sums are exact.
     """
     n = len(z)
     if n > 6:
         raise ResourceError("signed enumeration supports n <= 6")
     a = _symmetric_object_array(a_mat, "A")
     b = a if b_mat is None else _symmetric_object_array(b_mat, "B")
-    one = _one_like(list(z))
-    m1 = m2 = m3 = cross = 0 * one
-    count = 0
-    for perm in itertools.permutations(range(n)):
-        base = [z[perm[k]] for k in range(n)]
+    if a.shape != (n, n) or b.shape != a.shape:
+        raise ParameterDomainError(f"A and B must be {n}x{n} to match z")
+    iz, dz = _common_denominator(z)
+    flat_a, da = _common_denominator(a.flat)
+    flat_b, db = (flat_a, da) if b is a else _common_denominator(b.flat)
+    rows_a = [flat_a[i * n : (i + 1) * n] for i in range(n)]
+    rows_b = [flat_b[i * n : (i + 1) * n] for i in range(n)]
+
+    def form(rows, v):
+        return sum(vi * sum(map(operator.mul, row, v)) for vi, row in zip(v, rows))
+
+    s1 = s2 = s3 = cross = 0
+    for perm in itertools.permutations(iz):
         for signs in itertools.product((1, -1), repeat=n):
-            v = [s * x for s, x in zip(signs, base)]
-            qa = sum(a[i][j] * v[i] * v[j] for i in range(n) for j in range(n))
-            qb = (
-                qa
-                if b is a
-                else sum(b[i][j] * v[i] * v[j] for i in range(n) for j in range(n))
-            )
-            m1 += qa
-            m2 += qa * qa
-            m3 += qa * qa * qa
+            v = [s * x for s, x in zip(signs, perm)]
+            qa = form(rows_a, v)
+            qb = qa if b is a else form(rows_b, v)
+            s1 += qa
+            s2 += qa * qa
+            s3 += qa * qa * qa
             cross += qa * qb
-            count += 1
-    m1 /= count
-    m2 /= count
-    m3 /= count
-    cross /= count
+    # z' A z = qa / (da dz^2) and z' B z = qb / (db dz^2)
+    count = math.factorial(n) << n
+    scale_a = da * dz * dz
+    m1 = Fraction(s1, count * scale_a)
+    m2 = Fraction(s2, count * scale_a**2)
+    m3 = Fraction(s3, count * scale_a**3)
+    cross_second = Fraction(cross, count * scale_a * db * dz * dz)
     third_central = m3 - 3 * m2 * m1 + 2 * m1**3
-    return QuadraticFormMoments(third_central, m3, cross)
+    return QuadraticFormMoments(third_central, m3, cross_second)
 
 
 def rational_unit_vector(n: int, rng: np.random.Generator) -> tuple[Fraction, ...]:

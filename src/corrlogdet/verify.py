@@ -18,6 +18,7 @@ from .errors import ParameterDomainError
 from .girko import girko_log_det
 from .matrices import log_det_spd, sample_correlation
 from .moments import (
+    _MAX_ORACLE_N,
     MomentTable,
     WeightVector,
     complete_table,
@@ -217,8 +218,10 @@ def verify_moments(
     nmax: int = 6, vectors: int = 50, trials: int = 20, seed: int = 20243
 ) -> VerificationReport:
     """Umbrella rational-arithmetic certification used by the CLI."""
-    if nmax < 3 or vectors < 1 or trials < 1:
-        raise ParameterDomainError("need nmax >= 3, vectors >= 1 and trials >= 1")
+    if not 3 <= nmax <= _MAX_ORACLE_N or vectors < 1 or trials < 1:
+        raise ParameterDomainError(
+            f"need 3 <= nmax <= {_MAX_ORACLE_N}, vectors >= 1 and trials >= 1"
+        )
     report = VerificationReport("moment identity verification")
     report.checks += certify_sphere_identities(
         tuple(range(3, nmax + 1)), vectors=vectors, seed=seed

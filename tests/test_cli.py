@@ -157,6 +157,17 @@ def test_bad_counts_and_lists_exit_2(argv, capsys):
     assert "all checks passed" not in captured.out
 
 
+def test_verify_moments_nmax_beyond_oracle_exits_2_before_running(capsys, monkeypatch):
+    def must_not_run(z):
+        raise AssertionError("an oracle ran before the nmax check")
+
+    monkeypatch.setattr("corrlogdet.verify.permutation_oracle", must_not_run)
+    assert main(["verify-moments", "--nmax", "9", "--vectors", "1", "--trials", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_plot_round_trip(tmp_path, config_file):
     json_path = tmp_path / "report.json"
     svg_path = tmp_path / "fig.svg"

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -103,6 +104,31 @@ def test_oracle_three_four_five():
 def test_oracle_caps():
     with pytest.raises(ResourceError):
         permutation_oracle((F(1),) * 9)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: enumerated_weighted_power((F(1, 9),) * 9, (F(1),) * 9, 2),
+        lambda: enumerated_weighted_power((F(1, 3),) * 3, (F(1),) * 3, 7),
+        lambda: enumerated_quadratic_form_moments(np.eye(7, dtype=int), None, (F(1),) * 7),
+    ],
+    ids=["weighted_power_n9", "weighted_power_degree7", "quadratic_form_n7"],
+)
+def test_enumeration_caps(call):
+    with pytest.raises(ResourceError):
+        call()
+
+
+def test_oracle_exact_inputs_give_fractions():
+    # plain ints and finite floats are converted exactly
+    t = permutation_oracle((3, -4))
+    assert t.get(4) == F(337, 2) and t.get(2, 2) == 144
+    t = permutation_oracle((0.5, -1.5))
+    assert t.get(2) == F(5, 4) and t.get(2, 2) == F(9, 16)
+    assert all(type(v) is F for v in t.moments.values())
+    with pytest.raises(ValueError):
+        permutation_oracle((F(1), float("nan")))
 
 
 def test_oracle_matches_uniform_sphere_structure():
@@ -320,6 +346,19 @@ def test_sphere_fourth_moment_matches_enumeration():
     assert fourth_moment_sphere(w, t) == brute
 
 
+@pytest.mark.parametrize("factor, shift", [(F(7, 3), F(-5, 4)), (2.5, -0.75)])
+def test_weighted_power_two_term_average(factor, shift):
+    a = (F(1, 3), F(2, 3))
+    z = (F(1, 2), -2)
+    f, c = F(factor), F(shift)
+    first = f * (a[0] * F(1, 4) + a[1] * 4) + c  # Z = (1/2, -2)
+    second = f * (a[0] * 4 + a[1] * F(1, 4)) + c  # Z = (-2, 1/2)
+    for power in range(7):
+        out = enumerated_weighted_power(a, z, power, shift=shift, factor=factor)
+        assert type(out) is F
+        assert out == (first**power + second**power) / 2
+
+
 def test_sphere_fourth_moment_rejects_non_sphere_table():
     rng = np.random.default_rng(10)
     z = tuple(2 * v for v in rational_unit_vector(4, rng))  # norm 2, off the sphere
@@ -426,6 +465,51 @@ def test_quadratic_forms_match_signed_enumeration():
         assert tuple(quadratic_form_moments(a, b, t)) == tuple(
             enumerated_quadratic_form_moments(a, b, z)
         )
+
+
+def test_quadratic_enumeration_matches_fraction_loop():
+    # reference: the same signed enumeration summed term by term in Fractions
+    rng = np.random.default_rng(16)
+    from corrlogdet.verify import _random_rational_symmetric
+
+    z = (F(-3, 2), 2, F(0), F(5, 7))
+    a = _random_rational_symmetric(4, rng)
+    b = _random_rational_symmetric(4, rng)
+    qa, qb = [], []
+    for perm in itertools.permutations(z):
+        for signs in itertools.product((1, -1), repeat=4):
+            v = [s * x for s, x in zip(signs, perm)]
+            qa.append(sum(a[i][j] * v[i] * v[j] for i in range(4) for j in range(4)))
+            qb.append(sum(b[i][j] * v[i] * v[j] for i in range(4) for j in range(4)))
+    m1, m2, m3 = (sum(q**k for q in qa) / len(qa) for k in (1, 2, 3))
+    cross = sum(x * y for x, y in zip(qa, qb)) / len(qa)
+    out = enumerated_quadratic_form_moments(a, b, z)
+    assert tuple(out) == (m3 - 3 * m2 * m1 + 2 * m1**3, m3, cross)
+
+
+def test_quadratic_enumeration_identity_is_constant():
+    # z' z = |z|^2 on every signed permutation, so the form does not vary
+    z = (F(-3, 2), 2, F(0), F(5, 7))
+    norm_sq = sum(v * v for v in z)
+    eye = [[int(i == j) for j in range(4)] for i in range(4)]
+    out = enumerated_quadratic_form_moments(eye, eye, z)
+    assert all(type(v) is F for v in out)
+    assert out.third_central == 0
+    assert out.third_raw == norm_sq**3
+    assert out.cross_second == norm_sq**2
+
+
+@pytest.mark.parametrize(
+    "a_size, b_size",
+    [(4, None), (2, None), (3, 4)],
+    ids=["A_too_large", "A_too_small", "B_shape_differs"],
+)
+def test_quadratic_enumeration_rejects_shape_mismatch(a_size, b_size):
+    z = (F(1), F(-1, 2), F(2, 3))
+    a = np.eye(a_size, dtype=int)
+    b = None if b_size is None else np.eye(b_size, dtype=int)
+    with pytest.raises(ParameterDomainError):
+        enumerated_quadratic_form_moments(a, b, z)
 
 
 def test_quadratic_requires_symmetry():
