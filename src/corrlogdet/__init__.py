@@ -10,9 +10,7 @@ Carlo harness (:mod:`corrlogdet.simulate`) with CLI (``corrlogdet``).
 """
 
 from .cltstats import (
-    LawConstants,
     ks_test,
-    law_constants,
     standardize_corr,
     standardize_cov,
     stirling_gap,
@@ -30,13 +28,7 @@ from .errors import (
     SingularStepError,
 )
 from .girko import GirkoTrace, girko_log_det
-from .matrices import (
-    DataMatrix,
-    log_det_spd,
-    sample_correlation,
-    sample_covariance,
-    self_normalize,
-)
+from .matrices import DataMatrix, log_det_spd, sample_correlation, sample_covariance
 from .moments import (
     MomentTable,
     WeightVector,

@@ -16,7 +16,6 @@ decomposition; it vanishes as n grows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -36,29 +35,13 @@ def _c_n(p: int, n: int) -> float:
     return float(np.sum(np.log1p(-np.arange(p) / n)))
 
 
-@dataclass(frozen=True)
-class LawConstants:
-    """All deterministic constants of the correlation log-det law at (p, n)."""
-
-    p: int
-    n: int
-    mu_n: float
-    sigma2_n: float
-    c_n: float
-
-
-def law_constants(p: int, n: int) -> LawConstants:
-    _check_shape(p, n)
-    ratio = p / n
-    mu = (p - n + 0.5) * math.log1p(-ratio) - p + ratio
-    sigma2 = -2.0 * math.log1p(-ratio) - 2.0 * ratio
-    return LawConstants(p=p, n=n, mu_n=mu, sigma2_n=sigma2, c_n=_c_n(p, n))
-
-
 def standardize_corr(logdet_r: np.ndarray, p: int, n: int) -> np.ndarray:
     """Standardized correlation log-determinants (asymptotically N(0,1))."""
-    constants = law_constants(p, n)
-    return (logdet_r - constants.mu_n) / math.sqrt(constants.sigma2_n)
+    _check_shape(p, n)
+    ratio = p / n
+    centering = (p - n + 0.5) * math.log1p(-ratio) - p + ratio
+    variance = -2.0 * math.log1p(-ratio) - 2.0 * ratio
+    return (logdet_r - centering) / math.sqrt(variance)
 
 
 def standardize_cov(logdet_s: np.ndarray, p: int, n: int, fourth_moment: float) -> np.ndarray:

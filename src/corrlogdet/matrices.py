@@ -69,30 +69,18 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _divide_rows(v: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """``v`` with each row divided by its Euclidean norm, into ``out``;
-    zero rows are an error and leave ``out`` untouched."""
-    norms = _row_norms(v)
-    if np.any(norms == 0.0):
-        bad = int(np.argmin(norms))
-        raise DegenerateInputError(f"row {bad} has zero norm")
-    return np.divide(v, norms[:, None], out=out)
-
-
-def self_normalize(x: DataMatrix) -> np.ndarray:
-    """Divide each row by its Euclidean norm; zero rows are an error.
-
-    Returns a new array and leaves ``x`` as it was."""
-    return _divide_rows(x.values, None)
-
-
 def sample_correlation(x: DataMatrix) -> np.ndarray:
     """Correlation matrix ``Y @ Y.T`` with the diagonal pinned to exactly 1.
 
-    Consumes ``x``: its rows are normalized in place, so ``x.values`` holds
-    ``Y`` (bit for bit ``self_normalize(x)``) afterwards.
+    Consumes ``x``: each row of ``x.values`` is divided by its Euclidean
+    norm in place, so ``x.values`` holds ``Y`` afterwards.  A zero row is
+    an error and leaves ``x`` as it was.
     """
-    y = _divide_rows(x.values, x.values)
+    y = x.values
+    norms = _row_norms(y)
+    if np.any(norms == 0.0):
+        raise DegenerateInputError(f"row {int(np.argmin(norms))} has zero norm")
+    y /= norms[:, None]
     r = y @ y.T
     np.fill_diagonal(r, 1.0)
     return r

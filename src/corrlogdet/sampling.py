@@ -91,8 +91,8 @@ def _hashmix(words: np.ndarray, chain: tuple[np.ndarray, np.ndarray]) -> np.ndar
 class TailLaw:
     """Entry distribution with tail-index metadata.
 
-    Use the classmethod constructors; the fields not used by a family stay
-    ``None``.  ``centered`` only applies to the inverse gamma family.
+    Use the classmethod constructors.  The fields not used by a family must
+    stay ``None``, and ``centered`` may be ``False`` only for inverse gamma.
     """
 
     family: str
@@ -103,12 +103,19 @@ class TailLaw:
     centered: bool = True
 
     def __post_init__(self):
-        for name in _parameter_names(self.family):
+        names = _parameter_names(self.family)
+        for name in names:
             value = getattr(self, name)
             if value is None or not value > 0:
                 raise ParameterDomainError(f"{self.family} requires {name} > 0")
-        if self.family == "inverse_gamma" and self.centered and not self.shape > 1:
-            raise ParameterDomainError("centering needs shape > 1 for the mean to exist")
+        for name in (name for other in _PARAMETERS.values() for name in other):
+            if name not in names and getattr(self, name) is not None:
+                raise ParameterDomainError(f"{self.family} takes no {name}")
+        if self.family == "inverse_gamma":
+            if self.centered and not self.shape > 1:
+                raise ParameterDomainError("centering needs shape > 1 for the mean to exist")
+        elif not self.centered:
+            raise ParameterDomainError(f"{self.family} takes no centered=False")
 
     @classmethod
     def gaussian(cls) -> "TailLaw":
@@ -160,15 +167,15 @@ class TailLaw:
 
     def variance(self) -> float:
         """Population variance; ``inf`` when the tail index is <= 2."""
+        if self.tail_index <= 2:
+            return math.inf
         if self.family == "gaussian":
             return 1.0
         if self.family == "student_t":
-            return self.df / (self.df - 2.0) if self.df > 2 else math.inf
+            return self.df / (self.df - 2.0)
         if self.family == "symmetric_pareto":
-            return self.alpha / (self.alpha - 2.0) if self.alpha > 2 else math.inf
+            return self.alpha / (self.alpha - 2.0)
         a, b = self.shape, self.scale
-        if a <= 2:
-            return math.inf
         return b * b / ((a - 1.0) ** 2 * (a - 2.0))
 
     def standardized_fourth_moment(self) -> float:
@@ -177,21 +184,17 @@ class TailLaw:
         ``inf`` when the tail index is <= 4; only meaningful for laws with a
         finite fourth moment (the covariance-statistic pipeline).
         """
+        if self.tail_index <= 4:
+            return math.inf
         if self.family == "gaussian":
             return 3.0
         if self.family == "student_t":
-            if self.df <= 4:
-                return math.inf
             return 3.0 * (self.df - 2.0) / (self.df - 4.0)
         if self.family == "symmetric_pareto":
-            if self.alpha <= 4:
-                return math.inf
             a = self.alpha
             raw4 = a / (a - 4.0)
             return raw4 / (a / (a - 2.0)) ** 2
         a, b = self.shape, self.scale
-        if a <= 4:
-            return math.inf
         raw = [b**k / math.prod(a - j for j in range(1, k + 1)) for k in range(1, 5)]
         m1, m2, m3, m4 = raw
         central4 = m4 - 4.0 * m3 * m1 + 6.0 * m2 * m1**2 - 3.0 * m1**4
@@ -342,9 +345,9 @@ def fill_matrix(law: TailLaw, p: int, n: int, rng: RngStream) -> DataMatrix:
     Row ``i`` uses the spawned child stream ``i`` of ``rng``, so it is a
     pure function of ``(master_seed, stream_id, i)`` and any set of rows
     can be regenerated independently of traversal order.  One generator
-    is re-stated per row and draws into a row block of at most
-    ``_BLOCK_DRAWS`` raw draws (one row when a row is longer), which is
-    transformed at once.
+    is re-stated per row and draws into one reused buffer that holds a
+    row block of at most ``_BLOCK_DRAWS`` raw draws (one row when a row is
+    longer); each block is transformed into the matrix at once.
     """
     if p < 1 or n < 1:
         raise ParameterDomainError("matrix dimensions must be >= 1")
@@ -357,12 +360,10 @@ def fill_matrix(law: TailLaw, p: int, n: int, rng: RngStream) -> DataMatrix:
     draw = _raw_sampler(law, np.random.Generator(bitgen))
     states = rng.row_states(p)
     out = np.empty((p, n))
-    # one-draw laws draw into out and transform it in place; Student-t's
-    # two uniforms per entry go through one reused block buffer
-    buf = None if width == 1 else np.empty((min(rows, p), width, n))
+    buf = np.empty((min(rows, p), width, n))
     for a in range(0, p, rows):
         b = min(a + rows, p)
-        raw = out[a:b, None] if buf is None else buf[: b - a]
+        raw = buf[: b - a]
         for r, (state, inc) in enumerate(states[a:b]):
             bitgen.state = {
                 "bit_generator": "PCG64",

@@ -23,7 +23,7 @@ import numpy as np
 from .blas import single_blas_thread
 from .cltstats import KsResult, SummaryMoments, ks_test, standardize_corr, standardize_cov, summary_moments
 from .errors import ConfigError, NotPositiveDefiniteError, NumericalFailure
-from .matrices import DataMatrix, log_det_spd, sample_correlation, sample_covariance
+from .matrices import log_det_spd, sample_correlation, sample_covariance
 from .sampling import RngStream, TailLaw, fill_matrix
 
 _STATISTICS = ("corr_logdet", "cov_logdet")
@@ -263,7 +263,8 @@ def _replication_worker(config: ExperimentConfig, scale: float, workers: int):
             with gram_stage:
                 if config.statistic == "corr_logdet":
                     return log_det_spd(sample_correlation(x)), None
-                return log_det_spd(sample_covariance(DataMatrix(x.values / scale))), None
+                np.divide(x.values, scale, out=x.values)
+                return log_det_spd(sample_covariance(x)), None
         except NotPositiveDefiniteError as exc:
             return math.nan, exc.pivot
 

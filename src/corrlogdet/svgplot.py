@@ -20,11 +20,25 @@ def _fmt(x: float) -> str:
     return f"{x:.3f}".rstrip("0").rstrip(".")
 
 
+def _tag(name: str, text: str | None = None, **attrs) -> str:
+    """One SVG element.  Numbers print through ``_fmt``, ``_`` in an
+    attribute name prints as ``-``, and ``None`` attributes are left out."""
+    body = "".join(
+        f' {k.replace("_", "-")}="{v if isinstance(v, str) else _fmt(v)}"'
+        for k, v in attrs.items()
+        if v is not None
+    )
+    return f"<{name}{body}/>" if text is None else f"<{name}{body}>{text}</{name}>"
+
+
 def _normal_pdf(x: float) -> float:
     return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
 def emit_plot(report: ExperimentReport) -> str:
+    """The report's figure as an SVG document, one element per line: the
+    histogram, the kernel density and the N(0,1) density, with axes and a
+    legend.  Every element inside the root ``<svg>`` is written by ``_tag``."""
     edges = report.histogram["edges"]
     counts = report.histogram["counts"]
     total = sum(counts)
@@ -41,17 +55,31 @@ def emit_plot(report: ExperimentReport) -> str:
 
     plot_w = _W - _L - _R
     plot_h = _H - _T - _B
+    base = _T + plot_h
 
     def sx(x: float) -> float:
         return _L + (x - x_lo) / (x_hi - x_lo) * plot_w
 
     def sy(y: float) -> float:
-        return _T + plot_h - y / y_hi * plot_h
+        return base - y / y_hi * plot_h
+
+    def line(x1, y1, x2, y2, stroke="black", width=1, dash=None) -> str:
+        style = dict(stroke=stroke, stroke_width=width, stroke_dasharray=dash)
+        return _tag("line", x1=x1, y1=y1, x2=x2, y2=y2, **style)
+
+    def polyline(xs, ys, stroke: str, dash: str | None = None) -> str:
+        pts = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in zip(xs, ys))
+        style = dict(fill="none", stroke=stroke, stroke_width=1.6, stroke_dasharray=dash)
+        return _tag("polyline", **style, points=pts)
+
+    def text(x, y, content: str, size, anchor=None, fill=None) -> str:
+        font = dict(font_family="monospace", font_size=size)
+        return _tag("text", content, x=x, y=y, text_anchor=anchor, **font, fill=fill)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{int(_W)}" height="{int(_H)}" '
         f'viewBox="0 0 {int(_W)} {int(_H)}">',
-        f'<rect width="{int(_W)}" height="{int(_H)}" fill="white"/>',
+        _tag("rect", width=_W, height=_H, fill="white"),
     ]
 
     cfg = report.config
@@ -61,89 +89,41 @@ def emit_plot(report: ExperimentReport) -> str:
     label = f"{family}({params})" if params else family
     title = f"{label} p={cfg.get('p')} n={cfg.get('n')} reps={cfg.get('reps')}"
     subtitle = f"KS p-value {report.ks.p_value:.4g}, variance {report.summary.variance:.4g}"
-    parts.append(
-        f'<text x="{_fmt(_W / 2)}" y="20" text-anchor="middle" '
-        f'font-family="monospace" font-size="13">{title}</text>'
-    )
-    parts.append(
-        f'<text x="{_fmt(_W / 2)}" y="36" text-anchor="middle" '
-        f'font-family="monospace" font-size="11" fill="#555">{subtitle}</text>'
-    )
+    parts.append(text(_W / 2, 20, title, 13, anchor="middle"))
+    parts.append(text(_W / 2, 36, subtitle, 11, anchor="middle", fill="#555"))
 
     # histogram bars
+    bar = dict(fill="#9ecae1", stroke="#6baed6", stroke_width=0.5)
     for i, d in enumerate(bar_density):
         x0, x1 = sx(edges[i]), sx(edges[i + 1])
         y0 = sy(d)
-        parts.append(
-            f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(x1 - x0)}" '
-            f'height="{_fmt(_T + plot_h - y0)}" fill="#9ecae1" stroke="#6baed6" '
-            f'stroke-width="0.5"/>'
-        )
-
-    def polyline(xs, ys, color: str, dash: str | None = None) -> str:
-        pts = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in zip(xs, ys))
-        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-        return (
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.6"{dash_attr} '
-            f'points="{pts}"/>'
-        )
+        parts.append(_tag("rect", x=x0, y=y0, width=x1 - x0, height=base - y0, **bar))
 
     parts.append(polyline(grid, density, "#d62728"))
     normal_xs = [x_lo + (x_hi - x_lo) * i / 255 for i in range(256)]
     parts.append(polyline(normal_xs, [_normal_pdf(x) for x in normal_xs], "#222222", dash="5,3"))
 
     # axes
-    parts.append(
-        f'<line x1="{_fmt(_L)}" y1="{_fmt(_T + plot_h)}" x2="{_fmt(_L + plot_w)}" '
-        f'y2="{_fmt(_T + plot_h)}" stroke="black" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<line x1="{_fmt(_L)}" y1="{_fmt(_T)}" x2="{_fmt(_L)}" '
-        f'y2="{_fmt(_T + plot_h)}" stroke="black" stroke-width="1"/>'
-    )
+    parts.append(line(_L, base, _L + plot_w, base))
+    parts.append(line(_L, _T, _L, base))
     for tick in range(int(math.ceil(x_lo)), int(math.floor(x_hi)) + 1):
-        parts.append(
-            f'<line x1="{_fmt(sx(tick))}" y1="{_fmt(_T + plot_h)}" x2="{_fmt(sx(tick))}" '
-            f'y2="{_fmt(_T + plot_h + 4)}" stroke="black" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(sx(tick))}" y="{_fmt(_T + plot_h + 16)}" text-anchor="middle" '
-            f'font-family="monospace" font-size="10">{tick}</text>'
-        )
+        parts.append(line(sx(tick), base, sx(tick), base + 4))
+        parts.append(text(sx(tick), base + 16, f"{tick}", 10, anchor="middle"))
     n_yticks = 4
     for j in range(n_yticks + 1):
         y = y_hi * j / n_yticks
-        parts.append(
-            f'<line x1="{_fmt(_L - 4)}" y1="{_fmt(sy(y))}" x2="{_fmt(_L)}" '
-            f'y2="{_fmt(sy(y))}" stroke="black" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(_L - 8)}" y="{_fmt(sy(y) + 3)}" text-anchor="end" '
-            f'font-family="monospace" font-size="10">{y:.2f}</text>'
-        )
+        parts.append(line(_L - 4, sy(y), _L, sy(y)))
+        parts.append(text(_L - 8, sy(y) + 3, f"{y:.2f}", 10, anchor="end"))
     parts.append(
-        f'<text x="{_fmt(_L + plot_w / 2)}" y="{_fmt(_H - 12)}" text-anchor="middle" '
-        f'font-family="monospace" font-size="11">standardized log-determinant</text>'
+        text(_L + plot_w / 2, _H - 12, "standardized log-determinant", 11, anchor="middle")
     )
 
     # legend
     lx = _L + plot_w - 150
-    parts.append(
-        f'<line x1="{_fmt(lx)}" y1="{_fmt(_T + 12)}" x2="{_fmt(lx + 22)}" y2="{_fmt(_T + 12)}" '
-        f'stroke="#d62728" stroke-width="1.6"/>'
-    )
-    parts.append(
-        f'<text x="{_fmt(lx + 27)}" y="{_fmt(_T + 15)}" font-family="monospace" '
-        f'font-size="10">kernel density</text>'
-    )
-    parts.append(
-        f'<line x1="{_fmt(lx)}" y1="{_fmt(_T + 26)}" x2="{_fmt(lx + 22)}" y2="{_fmt(_T + 26)}" '
-        f'stroke="#222222" stroke-width="1.6" stroke-dasharray="5,3"/>'
-    )
-    parts.append(
-        f'<text x="{_fmt(lx + 27)}" y="{_fmt(_T + 29)}" font-family="monospace" '
-        f'font-size="10">N(0,1) density</text>'
-    )
+    parts.append(line(lx, _T + 12, lx + 22, _T + 12, "#d62728", 1.6))
+    parts.append(text(lx + 27, _T + 15, "kernel density", 10))
+    parts.append(line(lx, _T + 26, lx + 22, _T + 26, "#222222", 1.6, dash="5,3"))
+    parts.append(text(lx + 27, _T + 29, "N(0,1) density", 10))
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

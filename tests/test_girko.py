@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from corrlogdet import girko
+from corrlogdet import cltstats, girko
 from corrlogdet import (
     ParameterDomainError,
     RngStream,
@@ -12,23 +12,22 @@ from corrlogdet import (
     TailLaw,
     fill_matrix,
     girko_log_det,
-    law_constants,
     log_det_spd,
     sample_correlation,
-    self_normalize,
 )
 from corrlogdet.blas import single_blas_thread
 from dense_projector import dense_q
 from mc_table import mc_moment_table
+from reference import corr_law, unit_rows
 
 
 def _random_rows(p, n, seed, law=None):
     law = law or TailLaw.gaussian()
-    return self_normalize(fill_matrix(law, p + 1, n, RngStream(seed)))
+    return unit_rows(fill_matrix(law, p + 1, n, RngStream(seed)))
 
 
 def test_single_row_trace():
-    y = self_normalize(fill_matrix(TailLaw.student_t(3.5), 1, 12, RngStream(0)))
+    y = unit_rows(fill_matrix(TailLaw.student_t(3.5), 1, 12, RngStream(0)))
     trace = girko_log_det(y)
     assert trace.c_n == 0.0
     assert abs(trace.z_tilde[0]) < 1e-12
@@ -45,7 +44,7 @@ def test_orthonormal_two_by_two():
 
 def test_matches_cholesky_gaussian():
     x = fill_matrix(TailLaw.gaussian(), 5, 20, RngStream(1))
-    trace = girko_log_det(self_normalize(x))
+    trace = girko_log_det(unit_rows(x))
     chol = log_det_spd(sample_correlation(x))
     assert abs(trace.log_det - chol) <= 1e-9 * abs(chol)
 
@@ -58,7 +57,7 @@ def test_matches_cholesky_random_cases(law):
         n = int(round(p / rng.uniform(0.1, 0.9)))
         n = max(n, p + 1)
         x = fill_matrix(law, p, n, RngStream(2, case))
-        trace = girko_log_det(self_normalize(x))
+        trace = girko_log_det(unit_rows(x))
         chol = log_det_spd(sample_correlation(x))
         assert abs(trace.log_det - chol) <= 1e-8 * max(abs(chol), 1e-6)
 
@@ -72,7 +71,7 @@ def test_step_statistics_match_least_squares_oracle(law):
     # the residual of the least-squares fit of row i on rows 0..i-1 is its
     # distance to their span, so a defect in the recursion shows at its step
     p, n = 60, 120
-    y = self_normalize(fill_matrix(law, p, n, RngStream(16)))
+    y = unit_rows(fill_matrix(law, p, n, RngStream(16)))
     rsq = np.empty(p)
     rsq[0] = y[0] @ y[0]
     for i in range(1, p):
@@ -85,12 +84,11 @@ def test_step_statistics_match_least_squares_oracle(law):
 
 
 def test_c_n_value():
-    trace = girko_log_det(self_normalize(fill_matrix(TailLaw.gaussian(), 3, 9, RngStream(3))))
+    trace = girko_log_det(unit_rows(fill_matrix(TailLaw.gaussian(), 3, 9, RngStream(3))))
     expected = math.log(9 * 8 * 7) - 3 * math.log(9)
     assert trace.c_n == pytest.approx(expected, rel=1e-14)
-    constants = law_constants(3, 9)
-    assert trace.c_n == pytest.approx(constants.c_n, rel=1e-14)
-    assert constants.c_n <= 0.0
+    assert trace.c_n == pytest.approx(cltstats._c_n(3, 9), rel=1e-14)
+    assert cltstats._c_n(3, 9) <= 0.0
 
 
 def test_split_uv_step_zero():
@@ -191,7 +189,7 @@ def test_singular_step_reports_first_failing_row(edits, step):
 
 def test_trace_invariants():
     x = fill_matrix(TailLaw.student_t(3.5), 20, 60, RngStream(10))
-    trace = girko_log_det(self_normalize(x), record_bounds=True)
+    trace = girko_log_det(unit_rows(x), record_bounds=True)
     assert np.max(np.abs(trace.u_part + trace.v_part - trace.z_tilde)) < 1e-10
     assert np.max(np.abs(trace.power_sums[:, 0] - 1.0)) < 1e-10
     assert np.max(trace.trace_error) < 1e-10
@@ -242,7 +240,7 @@ def _dense_audit(y: np.ndarray) -> np.ndarray:
 def test_blocked_audit_is_bit_identical_to_dense(p, n, blocks, law):
     rows = max(1, girko._AUDIT_BLOCK_ENTRIES // n)
     assert -(-n // rows) == blocks
-    y = self_normalize(fill_matrix(law, p, n, RngStream(17)))
+    y = unit_rows(fill_matrix(law, p, n, RngStream(17)))
     with single_blas_thread():
         audited = girko_log_det(y, record_bounds=True)
         plain = girko_log_det(y)
@@ -261,7 +259,7 @@ def test_step_statistic_is_martingale_difference():
         z = np.empty(reps)
         for r in range(reps):
             x = fill_matrix(law, i + 1, n, RngStream(11, r))
-            trace = girko_log_det(self_normalize(x))
+            trace = girko_log_det(unit_rows(x))
             z[r] = trace.z_tilde[i]
         se = z.std(ddof=1) / math.sqrt(reps)
         assert abs(z.mean()) <= 4.0 * se
@@ -273,7 +271,7 @@ def _trace_sums(law, p, n, reps, seed):
     u2 = np.empty(reps)
     for r in range(reps):
         x = fill_matrix(law, p, n, RngStream(seed, r))
-        trace = girko_log_det(self_normalize(x))
+        trace = girko_log_det(unit_rows(x))
         halfz2[r] = 0.5 * np.sum(trace.z_tilde**2)
         v2[r] = np.sum(trace.v_part**2)
         u2[r] = np.sum(trace.u_part**2)
@@ -286,8 +284,8 @@ def test_aggregated_step_variance_matches_centering_gap():
     # this size the defect sits inside the Monte Carlo error
     p, n, reps = 100, 500, 2000
     halfz2, _, _ = _trace_sums(TailLaw.gaussian(), p, n, reps, 5150)
-    c = law_constants(p, n)
-    target = c.c_n - c.mu_n
+    mu, _ = corr_law(p, n)
+    target = cltstats._c_n(p, n) - mu
     se = halfz2.std(ddof=1) / math.sqrt(reps)
     assert abs(halfz2.mean() - target) <= 5.0 * se
 
@@ -297,9 +295,9 @@ def test_aggregated_offdiagonal_variance_matches_limit():
     # are an order of magnitude smaller for light tails
     p, n, reps = 100, 500, 600
     _, v2, u2 = _trace_sums(TailLaw.gaussian(), p, n, reps, 5153)
-    c = law_constants(p, n)
+    _, sigma2 = corr_law(p, n)
     se = v2.std(ddof=1) / math.sqrt(reps)
-    assert abs(v2.mean() - c.sigma2_n) <= 5.0 * se
+    assert abs(v2.mean() - sigma2) <= 5.0 * se
     assert u2.mean() / v2.mean() < 0.02
 
 
@@ -310,8 +308,8 @@ def test_heavy_tail_variance_sum_converges_from_below():
     ratios = []
     for p, n in ((100, 200), (200, 400)):
         _, v2, u2 = _trace_sums(law, p, n, 400, 5154)
-        c = law_constants(p, n)
-        ratios.append(v2.mean() / c.sigma2_n)
+        _, sigma2 = corr_law(p, n)
+        ratios.append(v2.mean() / sigma2)
         assert u2.mean() / v2.mean() < 0.3
     assert 0.85 < ratios[0] < 1.05
     assert 0.85 < ratios[1] < 1.05
@@ -332,7 +330,7 @@ def test_second_moment_identities_same_replications():
     dv = np.empty((reps, p))
     for r in range(reps):
         x = fill_matrix(law, p, n, RngStream(13, r))
-        trace = girko_log_det(self_normalize(x))
+        trace = girko_log_det(unit_rows(x))
         s2 = trace.power_sums[:, 1]
         steps = np.arange(p)
         u_pred = (1.0 - n * s2) * (1.0 - n * n * b4) / (n - 1)

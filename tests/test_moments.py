@@ -370,12 +370,13 @@ def test_sphere_fourth_moment_rejects_non_sphere_table():
 def test_sphere_fourth_moment_vs_monte_carlo():
     # weights from the diagonal of a random unit-trace projector, moments
     # from the exact uniform-sphere table, target estimated by simulation
-    from corrlogdet import fill_matrix, self_normalize
+    from corrlogdet import fill_matrix
     from dense_projector import dense_q
+    from reference import unit_rows
 
     n, i = 30, 5
     x = fill_matrix(TailLaw.gaussian(), i, n, RngStream(11))
-    a = np.diag(dense_q(self_normalize(x), n))
+    a = np.diag(dense_q(unit_rows(x), n))
     w = WeightVector(tuple(float(v) for v in a))
     t = uniform_sphere_table(n, exact=False)
     predicted = fourth_moment_sphere(w, t)

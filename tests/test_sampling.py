@@ -281,6 +281,19 @@ def test_standardized_fourth_moment():
     assert math.isinf(TailLaw.inverse_gamma(3.5, 2.0).standardized_fourth_moment())
 
 
+@pytest.mark.parametrize(
+    "make",
+    [TailLaw.student_t, TailLaw.symmetric_pareto, lambda a: TailLaw.inverse_gamma(a, 2.0)],
+    ids=["student_t", "symmetric_pareto", "inverse_gamma"],
+)
+def test_finite_moments_end_at_the_tail_index(make):
+    # E|X|^k is finite exactly when k is below the tail index
+    assert math.isinf(make(2.0).variance())
+    assert math.isfinite(make(math.nextafter(2.0, 3.0)).variance())
+    assert math.isinf(make(4.0).standardized_fourth_moment())
+    assert math.isfinite(make(math.nextafter(4.0, 5.0)).standardized_fourth_moment())
+
+
 def test_tail_index_and_symmetry():
     assert math.isinf(TailLaw.gaussian().tail_index)
     assert TailLaw.student_t(3.5).tail_index == 3.5
@@ -346,6 +359,32 @@ def test_centering_requires_mean():
         TailLaw.inverse_gamma(0.9, 2.0, centered=True)
     # without centering, shape <= 1 is legal
     TailLaw.inverse_gamma(0.9, 2.0, centered=False)
+
+
+@pytest.mark.parametrize(
+    "family, fields",
+    [
+        ("gaussian", {"df": 3.0}),
+        ("student_t", {"df": 3.5, "alpha": 3.5}),
+        ("symmetric_pareto", {"alpha": 3.5, "scale": 2.0}),
+        ("inverse_gamma", {"shape": 3.5, "scale": 2.0, "df": 3.5}),
+    ],
+)
+def test_parameter_of_another_family_is_named(family, fields):
+    # a stray field would change equality and the config round trip but
+    # not the label, so the law is refused
+    (name,) = set(fields) - set(_PARAMETERS[family])
+    with pytest.raises(ParameterDomainError, match=rf"^{family} takes no {name}$"):
+        TailLaw(family=family, **fields)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "student_t", "symmetric_pareto"])
+def test_uncentered_flag_outside_inverse_gamma_is_refused(family):
+    fields = {name: 3.5 for name in _PARAMETERS[family]}
+    with pytest.raises(ParameterDomainError, match="centered"):
+        TailLaw(family=family, centered=False, **fields)
+    law = TailLaw(family=family, centered=True, **fields)
+    assert law.to_config() == {"family": family, **fields}
 
 
 def test_fill_matrix_guards():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -20,7 +21,9 @@ from corrlogdet import (
     ExperimentReport,
     NotPositiveDefiniteError,
     NumericalFailure,
+    RngStream,
     TailLaw,
+    fill_matrix,
     run_simulation,
     statistics_csv,
 )
@@ -266,6 +269,23 @@ def test_covariance_statistic_runs():
     assert abs(report.summary.mean) < 0.5
 
 
+@pytest.mark.parametrize(
+    "law", [TailLaw.student_t(4.5), TailLaw.inverse_gamma(5.5, 2.0)], ids=lambda law: law.family
+)
+def test_covariance_scales_entries_to_unit_variance(law):
+    # each replication's log det is that of (X/sigma)(X/sigma)'/n for the
+    # regenerated X; both laws have a variance other than 1
+    p, n, seed = 12, 40, 9
+    report = run_simulation(_config(law=law, statistic="cov_logdet", p=p, n=n, reps=8, seed=seed))
+    sigma = math.sqrt(law.variance())
+    assert sigma != 1.0
+    for r in range(3):
+        x = fill_matrix(law, p, n, RngStream(seed, r)).values / sigma
+        sign, expected = np.linalg.slogdet(x @ x.T / n)
+        assert sign == 1.0
+        assert report.logdet_raw[r] == pytest.approx(expected, rel=1e-10)
+
+
 def test_covariance_needs_finite_fourth_moment():
     with pytest.raises(ConfigError):
         run_simulation(_config(law=TailLaw.student_t(3.5), statistic="cov_logdet"))
@@ -389,6 +409,42 @@ def test_svg_plot_deterministic():
     assert svg.startswith("<svg ")
     assert "polyline" in svg and "</svg>" in svg
     assert svg == emit_plot(ExperimentReport.from_json(report.to_json()))
+
+
+def _literal_report() -> ExperimentReport:
+    """A report built from literals only, so its SVG is pure string formatting."""
+    from corrlogdet.cltstats import KsResult, SummaryMoments
+
+    stats = np.array([-1.25, -0.5, 0.0, 0.25, 0.75, 1.5, 2.0, -2.5])
+    return ExperimentReport(
+        config={
+            "law": {"family": "inverse_gamma", "shape": 3.5, "scale": 2.0, "centered": True},
+            "p": 50,
+            "n": 100,
+            "reps": 8,
+        },
+        statistics=stats,
+        logdet_raw=stats - 10.0,
+        flagged=np.zeros(8, dtype=bool),
+        summary=SummaryMoments(0.03125, 1.8, -0.2, -0.9, 0.4, 0.5, 0.6, 0.7),
+        ks=KsResult(statistic=0.1875, p_value=0.912345),
+        histogram={"edges": [-3.0, -1.5, 0.0, 1.5, 3.0], "counts": [1, 2, 3, 2]},
+        kde={
+            "grid": [-3.5, -2.25, -1.0, 0.0, 0.5, 1.75, 3.0, 4.25],
+            "density": [0.001, 0.0625, 0.21, 0.33, 0.3125, 0.15, 0.02, 0.0],
+            "bandwidth": 0.6,
+        },
+    )
+
+
+def test_svg_plot_golden_bytes():
+    # every element, attribute and number format of the figure is pinned
+    from corrlogdet.svgplot import emit_plot
+
+    svg = emit_plot(_literal_report())
+    assert hashlib.sha256(svg.encode()).hexdigest() == (
+        "a06dd6a74c0eb0481e7256376e87c53316c392222535b3f74fa18a79cb58f32f"
+    )
 
 
 def test_statistics_csv_independent_of_openblas_threads(tmp_path):
