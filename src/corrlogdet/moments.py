@@ -30,6 +30,7 @@ import functools
 import itertools
 import math
 import operator
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
@@ -43,7 +44,15 @@ from .errors import (
     ParameterDomainError,
     ResourceError,
 )
-from .sampling import RngStream, TailLaw, _draw
+from .sampling import (
+    RngStream,
+    TailLaw,
+    _block_rows,
+    _raw_sampler,
+    _transform,
+    _width,
+    resolve_parallelism,
+)
 
 Number = float | Fraction
 
@@ -584,30 +593,56 @@ def mc_moment_batches(
     ``fill_matrix``.  Returns, per requested moment key (all of
     ``ALL_KEYS`` by default), the array of ``batches`` batch means; the
     draws, and so the means, do not depend on which keys are requested.
+
+    The batches run on a thread pool sized by ``resolve_parallelism`` for
+    one batch chunk (``THREADS`` wins).  Each chunk is transformed and
+    estimated in row blocks of at most ``_BLOCK_DRAWS`` raw draws (but at
+    least two rows) into per-row values that are summed once per chunk, so
+    neither the thread count nor the blocks change a bit of the result.
+    Memory in flight is one chunk of raw draws per worker.
     """
     if n < 4:
         raise ParameterDomainError("need n >= 4 for the quadruple moments")
     if reps < batches:
         raise ParameterDomainError("need at least one replication per batch")
     rows_per_chunk = max(1, max_chunk_entries // n)
-    out = {key: np.empty(batches) for key in keys}
-    base = reps // batches
-    extra = reps % batches
-    for b in range(batches):
+    # einsum sums a row longer than its 8192-element buffer in another order
+    # when the array holds that row alone, so a block has at least two rows
+    # unless its chunk has one: a lone last row joins the block before it
+    block = max(2, _block_rows(law, n))
+    base, extra = divmod(reps, batches)
+    width = _width(law)
+
+    def batch_means(b: int) -> list[float]:
         m_batch = base + (1 if b < extra else 0)
-        gen = rng.generator(b)
-        sums = {key: 0.0 for key in keys}
+        draw = _raw_sampler(law, rng.generator(b))
+        sums = dict.fromkeys(keys, 0.0)
+        rows = min(rows_per_chunk, m_batch)
+        per_row = {key: np.empty(rows) for key in keys}
+        # one buffer holds every chunk's raw draws: the next chunk's draws
+        # never sit beside the last one's
+        buf = np.empty(width * rows * n)
         done = 0
         while done < m_batch:
             m = min(rows_per_chunk, m_batch - done)
-            x = _draw(law, gen, (m, n))
-            norms_sq = np.einsum("ij,ij->i", x, x)
-            if not np.all(norms_sq > 0.0):
-                raise DegenerateInputError("zero row encountered in Monte Carlo draw")
-            y2 = x * x / norms_sq[:, None]
-            for key, vals in _row_estimates(y2, n, keys).items():
-                sums[key] += float(vals.sum())
+            raw = buf[: width * m * n].reshape(width, m, n)
+            draw(out=raw)
+            for start in range(0, max(m - 1, 1), block):
+                stop = m if start + block >= m - 1 else start + block
+                y2 = _transform(law, raw[:, start:stop])
+                norms_sq = np.einsum("ij,ij->i", y2, y2)
+                if not np.all(norms_sq > 0.0):
+                    raise DegenerateInputError("zero row encountered in Monte Carlo draw")
+                y2 *= y2
+                y2 /= norms_sq[:, None]
+                for key, vals in _row_estimates(y2, n, keys).items():
+                    per_row[key][start:stop] = vals
+            for key in keys:
+                sums[key] += float(per_row[key][:m].sum())
             done += m
-        for key in keys:
-            out[key][b] = sums[key] / m_batch
-    return out
+        return [sums[key] / m_batch for key in keys]
+
+    workers = resolve_parallelism(None, min(base + (extra > 0), rows_per_chunk) * n)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        means = list((pool.map if workers > 1 else map)(batch_means, range(batches)))
+    return {key: np.array(column) for key, column in zip(keys, zip(*means))}

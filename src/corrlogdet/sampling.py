@@ -19,18 +19,22 @@ uniforms per entry, so each entry sits at a fixed offset of its row's
 uniform stream; inverse gamma divides the scale by
 ``Generator.standard_gamma`` variates (Marsaglia-Tsang rejection), so
 only its rows are addressable.
+
+``resolve_parallelism`` is the one thread rule of the work drawn from
+these streams: simulation replications and Monte Carlo moment batches.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
-from .errors import ParameterDomainError, ResourceError
+from .errors import ConfigError, ParameterDomainError, ResourceError
 from .matrices import DataMatrix
 
 _MASK64 = (1 << 64) - 1
@@ -50,8 +54,17 @@ _PARAMETERS = {
 # Hard cap on matrix entries, refusing absurd allocations up front.
 _MAX_ENTRIES = 1 << 31
 
-# Raw draws (uniforms, or gamma variates) per row block of fill_matrix.
+# Raw draws (uniforms, or gamma variates) per row block of fill_matrix and
+# of the Monte Carlo moment estimates.
 _BLOCK_DRAWS = 1 << 16
+
+# Threads hand the interpreter lock over at every per-row draw or row
+# block.  On 2 CPUs that CPU cost is small beside a work unit's native work
+# only from about this many entries (1 -> 2 replication workers: Gaussian
+# 100x400 CPU +31% for wall -14%, t(3.5) 500x1000 CPU +2% for wall -39%).
+# With 4 or more CPUs every size keeps min(8, cpus) workers: smaller units
+# were never measured there.
+_THREADED_ENTRIES = 1 << 18
 
 # numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier;
 # NEP 19 keeps both generators' output stable across numpy versions.
@@ -60,6 +73,25 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
+
+
+def resolve_parallelism(requested: int | None, entries: int) -> int:
+    """THREADS environment variable wins, then ``requested``, then a default
+    set by the CPU count and the ``entries`` of one unit of work (a
+    replication's p * n, or a Monte Carlo batch chunk's rows * n)."""
+    env = os.environ.get("THREADS")
+    if env:
+        try:
+            value = int(env)
+        except ValueError as exc:
+            raise ConfigError(f"THREADS must be an integer, got {env!r}") from exc
+        if value < 1:
+            raise ConfigError("THREADS must be >= 1")
+        return value
+    if requested is not None:
+        return requested
+    cpus = os.cpu_count() or 1
+    return min(8, cpus) if cpus >= 4 or entries >= _THREADED_ENTRIES else 1
 
 
 def _hash_chain(init: int, mult: int, calls: range) -> tuple[np.ndarray, np.ndarray]:
@@ -300,6 +332,12 @@ def _width(law: TailLaw) -> int:
     return 2 if law.family == "student_t" else 1
 
 
+def _block_rows(law: TailLaw, n: int) -> int:
+    """Rows of length ``n`` in a block of at most ``_BLOCK_DRAWS`` raw draws
+    (one row when a row is longer)."""
+    return max(1, _BLOCK_DRAWS // (_width(law) * n))
+
+
 def _raw_sampler(law: TailLaw, gen: np.random.Generator):
     """``gen``'s raw-draw method for ``law``, taking ``size=`` or ``out=``."""
     if law.family == "inverse_gamma":
@@ -334,11 +372,6 @@ def _transform(law: TailLaw, raw: np.ndarray, out: np.ndarray | None = None) -> 
     return np.copysign(u, v, out=out)
 
 
-def _draw(law: TailLaw, gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    """Array of i.i.d. entries of ``law`` with the given shape, drawn from ``gen``."""
-    return _transform(law, _raw_sampler(law, gen)(size=(_width(law),) + shape))
-
-
 def fill_matrix(law: TailLaw, p: int, n: int, rng: RngStream) -> DataMatrix:
     """p-by-n matrix of i.i.d. draws with per-row derived substreams.
 
@@ -354,7 +387,7 @@ def fill_matrix(law: TailLaw, p: int, n: int, rng: RngStream) -> DataMatrix:
     if p * n > _MAX_ENTRIES:
         raise ResourceError(f"refusing to allocate {p}x{n} matrix")
     width = _width(law)
-    rows = max(1, _BLOCK_DRAWS // (width * n))
+    rows = _block_rows(law, n)
     # the seed is a placeholder: every row sets the state before drawing
     bitgen = np.random.PCG64(0)
     draw = _raw_sampler(law, np.random.Generator(bitgen))

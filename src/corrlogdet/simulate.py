@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -24,20 +23,12 @@ from .blas import single_blas_thread
 from .cltstats import KsResult, SummaryMoments, ks_test, standardize_corr, standardize_cov, summary_moments
 from .errors import ConfigError, NotPositiveDefiniteError, NumericalFailure
 from .matrices import log_det_spd, sample_correlation, sample_covariance
-from .sampling import RngStream, TailLaw, fill_matrix
+from .sampling import RngStream, TailLaw, fill_matrix, resolve_parallelism
 
 _STATISTICS = ("corr_logdet", "cov_logdet")
 _FLAG_BUDGET = 0.001
 _KDE_POINTS = 256
 _KDE_BLOCK = 16
-
-# Replication threads hand the interpreter lock over at every per-row
-# draw.  On 2 CPUs that CPU cost per row is small beside a replication's
-# native work only from about this many entries (1 -> 2 workers: Gaussian
-# 100x400 CPU +31% for wall -14%, t(3.5) 500x1000 CPU +2% for wall -39%).
-# With 4 or more CPUs every size keeps min(8, cpus) workers: smaller
-# replications were never measured there.
-_THREADED_ENTRIES = 1 << 18
 
 
 def _json_int(key: str, value) -> int:
@@ -192,24 +183,6 @@ class ExperimentReport:
             flags=raw.get("flags", []),
             timing=raw.get("timing", {}),
         )
-
-
-def resolve_parallelism(requested: int | None, entries: int) -> int:
-    """THREADS environment variable wins, then the config, then a default
-    set by the CPU count and the ``entries`` (p * n) of one replication."""
-    env = os.environ.get("THREADS")
-    if env:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"THREADS must be an integer, got {env!r}") from exc
-        if value < 1:
-            raise ConfigError("THREADS must be >= 1")
-        return value
-    if requested is not None:
-        return requested
-    cpus = os.cpu_count() or 1
-    return min(8, cpus) if cpus >= 4 or entries >= _THREADED_ENTRIES else 1
 
 
 def freedman_diaconis_histogram(x: np.ndarray) -> dict:

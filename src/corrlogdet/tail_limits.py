@@ -106,9 +106,9 @@ def convergence_diagnostic(
     and gives ratio exactly 1 at every n.
     """
     query = MomentLimitQuery(alpha=law.tail_index, exponents=tuple(exponents))
-    limit = moment_limit(query)
     if sum(query.exponents) > 4:
         raise ParameterDomainError("diagnostics support total half-degree <= 4")
+    limit = moment_limit(query)
     rows = []
     for idx, n in enumerate(n_grid):
         if query.exponents == (1,):

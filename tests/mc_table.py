@@ -1,12 +1,46 @@
 """Monte Carlo sphere-moment table for the tests that check estimated
-moments against exact values and identities."""
+moments against exact values and identities, and the whole-chunk serial
+form of ``mc_moment_batches`` that the blocked, threaded one must match
+bit for bit."""
 
 import math
 
 import numpy as np
 
 from corrlogdet import MomentTable, ParameterDomainError, RngStream, TailLaw
-from corrlogdet.moments import Number, mc_moment_batches
+from corrlogdet.moments import ALL_KEYS, Number, _row_estimates, mc_moment_batches
+from corrlogdet.sampling import _raw_sampler, _transform, _width
+
+
+def draw(law: TailLaw, gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Array of i.i.d. entries of ``law`` with the given shape, drawn from ``gen``."""
+    return _transform(law, _raw_sampler(law, gen)(size=(_width(law),) + shape))
+
+
+def whole_chunk_batches(
+    law: TailLaw, n: int, reps: int, rng: RngStream, batches: int, max_chunk_entries: int
+) -> dict[tuple[int, ...], np.ndarray]:
+    """``mc_moment_batches`` over ``ALL_KEYS`` as one serial loop: batch
+    after batch, each chunk drawn, normalized and estimated whole."""
+    rows_per_chunk = max(1, max_chunk_entries // n)
+    out = {key: np.empty(batches) for key in ALL_KEYS}
+    base, extra = divmod(reps, batches)
+    for b in range(batches):
+        m_batch = base + (1 if b < extra else 0)
+        gen = rng.generator(b)
+        sums = dict.fromkeys(ALL_KEYS, 0.0)
+        done = 0
+        while done < m_batch:
+            m = min(rows_per_chunk, m_batch - done)
+            x = draw(law, gen, (m, n))
+            norms_sq = np.einsum("ij,ij->i", x, x)
+            y2 = x * x / norms_sq[:, None]
+            for key, vals in _row_estimates(y2, n, ALL_KEYS).items():
+                sums[key] += float(vals.sum())
+            done += m
+        for key in ALL_KEYS:
+            out[key][b] = sums[key] / m_batch
+    return out
 
 
 def mc_moment_table(

@@ -137,6 +137,23 @@ def test_asymptotics_bad_alpha():
     assert main(["asymptotics", "--alpha", "4.5", "--k", "2", "--grid", "64", "--reps", "2000"]) == 2
 
 
+def test_asymptotics_huge_total_half_degree_exits_2(capsys):
+    # the limit's Gamma function would overflow; the degree guard runs first
+    argv = ["asymptotics", "--alpha", "3.5", "--k", "200", "--grid", "500", "--reps", "100"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: diagnostics support total half-degree <= 4\n"
+
+
+@pytest.mark.parametrize("threads", ["0", "zero"])
+def test_asymptotics_bad_threads_exit_2(monkeypatch, capsys, threads):
+    monkeypatch.setenv("THREADS", threads)
+    argv = ["asymptotics", "--alpha", "3.5", "--k", "2", "--grid", "64", "--reps", "2000"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: THREADS must be")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [

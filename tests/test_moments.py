@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrlogdet import (
+    DegenerateInputError,
     IncompleteTableError,
     InconsistentTableError,
     MomentTable,
@@ -25,6 +26,7 @@ from corrlogdet import (
     quadratic_form_moments,
     sphere_identity_residuals,
 )
+from corrlogdet import moments
 from corrlogdet.moments import (
     ALL_KEYS,
     enumerated_quadratic_form_moments,
@@ -33,7 +35,7 @@ from corrlogdet.moments import (
     rational_unit_vector,
     rational_weights,
 )
-from mc_table import mc_moment_table
+from mc_table import mc_moment_table, whole_chunk_batches
 
 
 def _circle_moment(a: int, b: int) -> F:
@@ -223,6 +225,48 @@ def test_mc_batches_key_subset_matches_all_keys(law, keys):
     assert list(subset) == list(keys)
     for key in keys:
         assert np.array_equal(subset[key], full[key]), key
+
+
+MC_LAWS = [
+    TailLaw.gaussian(),
+    TailLaw.student_t(3.5),
+    TailLaw.symmetric_pareto(3.5),
+    TailLaw.inverse_gamma(3.5, 2.0),
+]
+
+# (n, reps, batches, max_chunk_entries).  n = 2000 puts 32 rows in a row
+# block (16 for Student-t's two uniforms), so one 70-row chunk is several
+# blocks; 45-row chunks add several chunks per batch and reps % batches = 5;
+# n = 9000 rows are longer than einsum's 8192-element buffer, and 22-row
+# chunks leave a lone row after their blocks (7 rows, 3 for Student-t)
+# while the 23-row batch ends in a one-row chunk.
+MC_SHAPES = {
+    "row_blocks": (2000, 16 * 70, 16, 1 << 23),
+    "chunks_uneven": (2000, 16 * 70 + 5, 16, 2000 * 45),
+    "long_rows": (9000, 4 * 22 + 1, 4, 9000 * 22),
+}
+
+
+@pytest.mark.parametrize("shape", MC_SHAPES.values(), ids=MC_SHAPES.keys())
+@pytest.mark.parametrize("law", MC_LAWS, ids=lambda law: law.family)
+def test_mc_batches_bits_match_whole_chunk_loop_at_any_thread_count(monkeypatch, law, shape):
+    n, reps, batches, chunk = shape
+    rng = RngStream(12, 3)
+    expected = whole_chunk_batches(law, n, reps, rng, batches, chunk)
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("THREADS", threads)
+        got = mc_moment_batches(law, n, reps, rng, batches=batches, max_chunk_entries=chunk)
+        assert list(got) == list(ALL_KEYS)
+        for key in ALL_KEYS:
+            assert got[key].tobytes() == expected[key].tobytes(), (threads, key)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_mc_batches_zero_row_error_reaches_caller(monkeypatch, threads):
+    monkeypatch.setenv("THREADS", threads)
+    monkeypatch.setattr(moments, "_transform", lambda law, raw: np.zeros(raw.shape[1:]))
+    with pytest.raises(DegenerateInputError, match=r"^zero row encountered in Monte Carlo draw$"):
+        mc_moment_batches(TailLaw.gaussian(), 8, 64, RngStream(5), batches=4)
 
 
 # ---------------------------------------------------------------------------

@@ -14,14 +14,15 @@ from corrlogdet import (
     fill_matrix,
 )
 from corrlogdet.moments import mc_moment_batches
-from corrlogdet.sampling import _BLOCK_DRAWS, _PARAMETERS, _draw
+from corrlogdet.sampling import _BLOCK_DRAWS, _PARAMETERS
+from mc_table import draw
 
 MASK64 = (1 << 64) - 1
 
 
 def _entries(law, rng, count):
     """``count`` i.i.d. draws from the stream's root generator."""
-    return _draw(law, rng.generator(), (count,))
+    return draw(law, rng.generator(), (count,))
 
 
 def _spawned_children(rng, count):
@@ -37,7 +38,7 @@ def _spawned_states(rng, count):
 def _spawned_rows(law, rng, p, n):
     """Reference for fill_matrix: row i drawn by a PCG64 built from spawned child i."""
     return np.vstack(
-        [_draw(law, np.random.Generator(np.random.PCG64(c)), (n,)) for c in _spawned_children(rng, p)]
+        [draw(law, np.random.Generator(np.random.PCG64(c)), (n,)) for c in _spawned_children(rng, p)]
     )
 
 
