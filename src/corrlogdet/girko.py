@@ -24,9 +24,18 @@ was slower (8.7 against 3.2 ms at p = 100, n = 500 on 2 CPUs).
 
 An audit mode keeps the unscaled projector ``P`` densely to check the
 entry bounds of ``Q_i``.  ``P`` stays exactly symmetric (IEEE products
-commute), so only its upper triangle is updated and scanned, in row blocks
-of bounded scratch; one pass per step both applies the rank-one update
-by column ``i`` of ``U`` and reads the bounds of the next step.
+commute), so only its upper triangle is kept, in row blocks swept one at a
+time (Golub & Van Loan, sections 1.3-1.4): each block runs every step
+while it stays in cache, reading its diagonal and off-diagonal extremes
+and then taking the rank-one update by column ``i`` of ``U`` as one
+in-place BLAS ``dgemm`` with inner dimension 1.  With a single term the
+product ``w_k w_l`` is rounded on its own, as in ``np.outer``, and the
+scalings by -1 and 1 are exact, so each entry becomes
+``fl(P_kl - fl(w_k w_l))``, the bits of an outer product and a
+subtraction.  A kernel that fused the product into the subtraction would
+round once and differ; the dense-oracle test
+``test_blocked_audit_is_bit_identical_to_dense`` guards this on whichever
+BLAS is loaded.
 
 Each step statistic splits into a diagonal part driven by fourth-moment
 behavior and an off-diagonal bilinear part that carries the asymptotic
@@ -41,12 +50,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dgemm as _dgemm
 
 from .blas import single_blas_thread
 from .cltstats import _c_n
 from .errors import ParameterDomainError, SingularStepError
 
-# Entries per row block of the bound audit, and of its rank-one scratch.
+# Entries per row block of the bound audit (512 KB, kept in L2 over all steps).
 _AUDIT_BLOCK_ENTRIES = 1 << 16
 
 
@@ -76,49 +86,44 @@ class GirkoTrace:
         return self.c_n + float(np.sum(np.log1p(self.z_tilde)))
 
 
-def _upper_blocks(n: int) -> list[np.ndarray]:
-    """Row blocks of the upper triangle of the n-by-n identity.
+def _audit_bounds(ut: np.ndarray) -> np.ndarray:
+    """Entry bounds of ``Q_i = P_i / (n - i)`` before each step ``i``.
 
-    Block ``a:b`` holds rows ``a:b`` from column ``a`` on, in at most
-    ``_AUDIT_BLOCK_ENTRIES`` entries, or one row when a row is longer.
+    Rows: diag_min, diag_max, offdiag_max, trace_error.  Row ``i`` of
+    ``ut`` is the unit vector that step ``i`` removes from ``P``.  Each
+    row block ``a:b`` of the upper triangle, columns ``a`` on, runs every
+    step while it is cache-resident: it records its diagonal into ``pdiag``
+    and its off-diagonal extremes (each including 0), then takes the
+    rank-one update.  The square part of a block is updated in full, so it
+    stays symmetric, and together the blocks see every off-diagonal entry.
     """
+    p, n = ut.shape
     rows = max(1, _AUDIT_BLOCK_ENTRIES // n)
-    blocks = []
+    pdiag = np.empty((p, n))
+    hi, lo = np.zeros(p), np.zeros(p)
     for a in range(0, n, rows):
-        block = np.zeros((min(rows, n - a), n - a))
-        np.fill_diagonal(block, 1.0)
-        blocks.append(block)
-    return blocks
-
-
-def _audit_pass(
-    blocks: list[np.ndarray], w: np.ndarray | None, scratch: np.ndarray
-) -> tuple[np.ndarray, float, float]:
-    """Subtract ``w w'`` from the blocked upper triangle and scan it.
-
-    The square part of each block is updated in full, so it stays
-    symmetric, and together the blocks see every off-diagonal entry of the
-    symmetric matrix.  Returns the diagonal and the largest and smallest
-    off-diagonal entries, each extreme including 0.
-    """
-    n = blocks[0].shape[1]
-    diag = np.empty(n)
-    hi = lo = 0.0
-    a = 0
-    for block in blocks:
-        b = a + block.shape[0]
-        if w is not None:
-            # each entry is the single product w_k * w_l, as in np.outer
-            outer = scratch[: block.size].reshape(block.shape)
-            np.einsum("i,j->ij", w[a:b], w[a:], out=outer)
-            block -= outer
-        diag[a:b] = block.diagonal()
-        np.fill_diagonal(block, 0.0)
-        hi = max(hi, float(block.max()))
-        lo = min(lo, float(block.min()))
-        np.fill_diagonal(block, diag[a:b])
-        a = b
-    return diag, hi, lo
+        b = min(a + rows, n)
+        block = np.zeros((b - a, n - a))
+        diag = block.reshape(-1)[:: n - a + 1]
+        diag[:] = 1.0
+        for i, w in enumerate(ut[:, a:]):
+            pdiag[i, a:b] = diag
+            diag[:] = 0.0
+            hi[i] = max(hi[i], block.max())
+            lo[i] = min(lo[i], block.min())
+            diag[:] = pdiag[i, a:b]
+            if i + 1 < p:
+                # block.T is the Fortran view of C-ordered block: in place
+                _dgemm(-1.0, w[:, None], w[None, : b - a], 1.0, block.T, overwrite_c=1)
+    m = n - np.arange(p)
+    return np.stack(
+        [
+            pdiag.min(axis=1) / m,
+            pdiag.max(axis=1) / m,
+            np.where(-lo > hi, -lo, hi) / m,  # max(hi, -lo); np.maximum gives -0.0
+            np.abs(pdiag.sum(axis=1) / m - 1.0),
+        ]
+    )
 
 
 def girko_log_det(y: np.ndarray, record_bounds: bool = False) -> GirkoTrace:
@@ -164,23 +169,8 @@ def girko_log_det(y: np.ndarray, record_bounds: bool = False) -> GirkoTrace:
     sums = np.stack([qd.sum(axis=1), q2.sum(axis=1), cubes, fourths], axis=1)
 
     if record_bounds:
-        # blocks hold the upper triangle of the unscaled projector P_i;
-        # bounds are checked on Q_i = P_i / (n - i) without scaled copies
-        blocks = _upper_blocks(n)
-        scratch = np.empty(blocks[0].size)
-        bounds = np.empty((4, p))
-        audit = _audit_pass(blocks, None, scratch)
-        for i in range(p):
-            scale = n - i
-            pdiag, hi, lo = audit
-            bounds[:, i] = (
-                float(pdiag.min()) / scale,
-                float(pdiag.max()) / scale,
-                max(hi, -lo) / scale,
-                abs(float(pdiag.sum()) / scale - 1.0),
-            )
-            if i + 1 < p:
-                audit = _audit_pass(blocks, ut[i], scratch)
+        with single_blas_thread():
+            bounds = _audit_bounds(ut)
 
     diag_min, diag_max, offdiag_max, trace_error = bounds if record_bounds else (None,) * 4
     return GirkoTrace(

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ParameterDomainError
 from .moments import mc_moment_batches, moment_key
-from .sampling import RngStream, TailLaw
+from .sampling import RngStream, TailLaw, resolve_parallelism
 
 _MOM_BLOCKS = 16
 
@@ -105,6 +105,7 @@ def convergence_diagnostic(
     to 1.  The pure unit-exponent case ``(1,)`` is the sphere constraint
     and gives ratio exactly 1 at every n.
     """
+    resolve_parallelism(None, 0)  # a bad THREADS fails even where no batch runs
     query = MomentLimitQuery(alpha=law.tail_index, exponents=tuple(exponents))
     if sum(query.exponents) > 4:
         raise ParameterDomainError("diagnostics support total half-degree <= 4")

@@ -144,10 +144,15 @@ def test_asymptotics_huge_total_half_degree_exits_2(capsys):
     assert capsys.readouterr().err == "error: diagnostics support total half-degree <= 4\n"
 
 
-@pytest.mark.parametrize("threads", ["0", "zero"])
-def test_asymptotics_bad_threads_exit_2(monkeypatch, capsys, threads):
+# --k 1 is the sphere constraint and draws nothing, yet THREADS is checked
+@pytest.mark.parametrize(
+    "threads, k",
+    [("0", "2"), ("zero", "2"), ("0", "1"), ("zero", "1")],
+    ids=["0", "zero", "0-k1", "zero-k1"],
+)
+def test_asymptotics_bad_threads_exit_2(monkeypatch, capsys, threads, k):
     monkeypatch.setenv("THREADS", threads)
-    argv = ["asymptotics", "--alpha", "3.5", "--k", "2", "--grid", "64", "--reps", "2000"]
+    argv = ["asymptotics", "--alpha", "3.5", "--k", k, "--grid", "64", "--reps", "2000"]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: THREADS must be")

@@ -234,8 +234,17 @@ def _dense_audit(y: np.ndarray) -> np.ndarray:
         (60, 983, 15, TailLaw.student_t(3.5)),  # 14 blocks of 66 rows and one of 59
         (300, 300, 2, TailLaw.symmetric_pareto(3.5)),  # p == n
         (1, 50, 1, TailLaw.student_t(3.5)),  # p == 1
+        (40, 571, 6, TailLaw.gaussian()),  # 5 blocks of 114 rows, then one 1x1 row
+        (30, 2000, 63, TailLaw.student_t(3.5)),  # 62 blocks of 32 rows and one of 16
     ],
-    ids=["one_block", "partial_last_block", "p_equals_n", "single_row"],
+    ids=[
+        "one_block",
+        "partial_last_block",
+        "p_equals_n",
+        "single_row",
+        "one_by_one_block",
+        "verify_sized",
+    ],
 )
 def test_blocked_audit_is_bit_identical_to_dense(p, n, blocks, law):
     rows = max(1, girko._AUDIT_BLOCK_ENTRIES // n)
@@ -249,6 +258,14 @@ def test_blocked_audit_is_bit_identical_to_dense(p, n, blocks, law):
         assert np.array_equal(getattr(audited, name), getattr(plain, name)), name
     for k, name in enumerate(("diag_min", "diag_max", "offdiag_max", "trace_error")):
         assert np.array_equal(getattr(audited, name), expected[k]), name
+
+
+def test_offdiag_bound_of_identity_is_positive_zero():
+    # step 0 sees the identity, whose off-diagonal bound is max(0.0, -0.0);
+    # array_equal cannot tell the sign of that zero apart, so check it here
+    y = unit_rows(fill_matrix(TailLaw.gaussian(), 3, 20, RngStream(5)))
+    bound = girko_log_det(y, record_bounds=True).offdiag_max[0]
+    assert bound == 0.0 and not np.signbit(bound)
 
 
 def test_step_statistic_is_martingale_difference():
