@@ -13,7 +13,6 @@ from .cltstats import (
     ks_test,
     standardize_corr,
     standardize_cov,
-    stirling_gap,
     summary_moments,
 )
 from .errors import (

@@ -8,9 +8,7 @@ Two standardizations are provided.  For the correlation matrix,
 
 with no dependence on the entry distribution's fourth moment.  For the
 covariance matrix the centering and variance pick up fourth-moment
-corrections.  ``stirling_gap`` evaluates the finite-n defect between the
-correlation centering and the combinatorial constant of the sequential
-decomposition; it vanishes as n grows.
+corrections.
 """
 
 from __future__ import annotations
@@ -65,17 +63,6 @@ def standardize_cov(logdet_s: np.ndarray, p: int, n: int, fourth_moment: float) 
     return (logdet_s - centering) / math.sqrt(variance)
 
 
-def stirling_gap(p: int, n: int) -> float:
-    """Finite-n defect ``(p-n-1/2) log(1-p/n) - p - sum_{i<p} log(1-i/n)``.
-
-    Exactly the mismatch between the correlation-law centering, the
-    combinatorial constant of the sequential decomposition, and the
-    aggregated step variance; it is O(1/n) at a fixed aspect ratio.
-    """
-    _check_shape(p, n)
-    return (p - n - 0.5) * math.log1p(-p / n) - p - _c_n(p, n)
-
-
 class KsResult(NamedTuple):
     statistic: float
     p_value: float
@@ -119,12 +106,9 @@ def _moments_of(x: np.ndarray) -> tuple[float, float, float, float]:
     m4 = float(np.mean(d**4))
     variance = m2 * m / (m - 1)
     if m2 > 0:
-        g1 = m3 / m2**1.5
-        skew = math.sqrt(m * (m - 1)) / (m - 2) * g1 if m > 2 else g1
-        g2 = m4 / m2**2 - 3.0
-        kurt = (
-            (m - 1) / ((m - 2) * (m - 3)) * ((m + 1) * g2 + 6.0) if m > 3 else g2
-        )
+        # summary_moments passes at least 4 values
+        skew = math.sqrt(m * (m - 1)) / (m - 2) * (m3 / m2**1.5)
+        kurt = (m - 1) / ((m - 2) * (m - 3)) * ((m + 1) * (m4 / m2**2 - 3.0) + 6.0)
     else:
         skew = 0.0
         kurt = 0.0

@@ -22,16 +22,16 @@ unit-trace projector ``Q_i = P / (n - i)``.  The factorization runs with
 BLAS pinned to one thread: on these tall, thin matrices threaded OpenBLAS
 was slower (8.7 against 3.2 ms at p = 100, n = 500 on 2 CPUs).
 
-An audit mode keeps the unscaled projector ``P`` densely to check the
-entry bounds of ``Q_i``.  ``P`` stays exactly symmetric (IEEE products
-commute), so only its upper triangle is kept, in row blocks swept one at a
-time (Golub & Van Loan, sections 1.3-1.4): each block runs every step
-while it stays in cache, reading its diagonal and off-diagonal extremes
-and then taking the rank-one update by column ``i`` of ``U`` as one
-in-place BLAS ``dgemm`` with inner dimension 1.  With a single term the
-product ``w_k w_l`` is rounded on its own, as in ``np.outer``, and the
-scalings by -1 and 1 are exact, so each entry becomes
-``fl(P_kl - fl(w_k w_l))``, the bits of an outer product and a
+``audit_bounds`` rebuilds the unscaled projector ``P`` from a trace's
+basis to check the entry bounds of ``Q_i``.  ``P`` stays exactly
+symmetric (IEEE products commute), so only its upper triangle is kept, in
+row blocks swept one at a time (Golub & Van Loan, sections 1.3-1.4): each
+block runs every step while it stays in cache, reading its diagonal and
+off-diagonal extremes and then taking the rank-one update by column ``i``
+of ``U`` as one in-place BLAS ``dgemm`` with inner dimension 1.  With a
+single term the product ``w_k w_l`` is rounded on its own, as in
+``np.outer``, and the scalings by -1 and 1 are exact, so each entry
+becomes ``fl(P_kl - fl(w_k w_l))``, the bits of an outer product and a
 subtraction.  A kernel that fused the product into the subtraction would
 round once and differ; the dense-oracle test
 ``test_blocked_audit_is_bit_identical_to_dense`` guards this on whichever
@@ -46,7 +46,7 @@ variance:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -64,9 +64,9 @@ _AUDIT_BLOCK_ENTRIES = 1 << 16
 class GirkoTrace:
     """Complete record of the sequential log-det recursion.
 
-    ``power_sums[i, j-1]`` holds the j-th diagonal power sum of Q_i.  The
-    bound-audit arrays are populated only when the trace was computed with
-    ``record_bounds=True``.
+    ``power_sums[i, j-1]`` holds the j-th diagonal power sum of Q_i;
+    ``basis`` is ``U'`` (p x n), whose row i is the unit vector that step i
+    adds to the span.
     """
 
     p: int
@@ -76,45 +76,45 @@ class GirkoTrace:
     u_part: np.ndarray
     v_part: np.ndarray
     power_sums: np.ndarray
-    diag_min: np.ndarray | None = field(default=None, repr=False)
-    diag_max: np.ndarray | None = field(default=None, repr=False)
-    offdiag_max: np.ndarray | None = field(default=None, repr=False)
-    trace_error: np.ndarray | None = field(default=None, repr=False)
+    basis: np.ndarray
 
     @property
     def log_det(self) -> float:
         return self.c_n + float(np.sum(np.log1p(self.z_tilde)))
 
 
-def _audit_bounds(ut: np.ndarray) -> np.ndarray:
+def audit_bounds(trace: GirkoTrace) -> np.ndarray:
     """Entry bounds of ``Q_i = P_i / (n - i)`` before each step ``i``.
 
     Rows: diag_min, diag_max, offdiag_max, trace_error.  Row ``i`` of
-    ``ut`` is the unit vector that step ``i`` removes from ``P``.  Each
-    row block ``a:b`` of the upper triangle, columns ``a`` on, runs every
-    step while it is cache-resident: it records its diagonal into ``pdiag``
-    and its off-diagonal extremes (each including 0), then takes the
-    rank-one update.  The square part of a block is updated in full, so it
-    stays symmetric, and together the blocks see every off-diagonal entry.
+    ``trace.basis`` is the unit vector that step ``i`` removes from ``P``.
+    Each row block ``a:b`` of the upper triangle, columns ``a`` on, runs
+    every step while it is cache-resident: it records its diagonal into
+    ``pdiag`` and its off-diagonal extremes (each including 0), then takes
+    the rank-one update.  The square part of a block is updated in full, so
+    it stays symmetric, and together the blocks see every off-diagonal
+    entry.
     """
+    ut = trace.basis
     p, n = ut.shape
     rows = max(1, _AUDIT_BLOCK_ENTRIES // n)
     pdiag = np.empty((p, n))
     hi, lo = np.zeros(p), np.zeros(p)
-    for a in range(0, n, rows):
-        b = min(a + rows, n)
-        block = np.zeros((b - a, n - a))
-        diag = block.reshape(-1)[:: n - a + 1]
-        diag[:] = 1.0
-        for i, w in enumerate(ut[:, a:]):
-            pdiag[i, a:b] = diag
-            diag[:] = 0.0
-            hi[i] = max(hi[i], block.max())
-            lo[i] = min(lo[i], block.min())
-            diag[:] = pdiag[i, a:b]
-            if i + 1 < p:
-                # block.T is the Fortran view of C-ordered block: in place
-                _dgemm(-1.0, w[:, None], w[None, : b - a], 1.0, block.T, overwrite_c=1)
+    with single_blas_thread():
+        for a in range(0, n, rows):
+            b = min(a + rows, n)
+            block = np.zeros((b - a, n - a))
+            diag = block.reshape(-1)[:: n - a + 1]
+            diag[:] = 1.0
+            for i, w in enumerate(ut[:, a:]):
+                pdiag[i, a:b] = diag
+                diag[:] = 0.0
+                hi[i] = max(hi[i], block.max())
+                lo[i] = min(lo[i], block.min())
+                diag[:] = pdiag[i, a:b]
+                if i + 1 < p:
+                    # block.T is the Fortran view of C-ordered block: in place
+                    _dgemm(-1.0, w[:, None], w[None, : b - a], 1.0, block.T, overwrite_c=1)
     m = n - np.arange(p)
     return np.stack(
         [
@@ -126,7 +126,7 @@ def _audit_bounds(ut: np.ndarray) -> np.ndarray:
     )
 
 
-def girko_log_det(y: np.ndarray, record_bounds: bool = False) -> GirkoTrace:
+def girko_log_det(y: np.ndarray) -> GirkoTrace:
     """Run the full recursion over the rows of a unit-norm matrix.
 
     Requires p <= n and (almost surely satisfied for continuous data)
@@ -151,8 +151,7 @@ def girko_log_det(y: np.ndarray, record_bounds: bool = False) -> GirkoTrace:
     if not ok.all() or stop < p:
         raise SingularStepError(step=stop if ok.all() else int(np.argmin(ok)))
 
-    # step-major: row i of U' is the unit vector that step i adds to the span
-    ut = basis.T
+    ut = basis.T  # step-major, as GirkoTrace.basis
     # diag[i] = diagonal of P before step i, 1 minus an exclusive cumsum
     diag = np.empty((p, n))
     diag[:1] = 0.0
@@ -168,11 +167,6 @@ def girko_log_det(y: np.ndarray, record_bounds: bool = False) -> GirkoTrace:
     cubes, fourths = np.einsum("ij,ij->i", q2, qd), np.einsum("ij,ij->i", q2, q2)
     sums = np.stack([qd.sum(axis=1), q2.sum(axis=1), cubes, fourths], axis=1)
 
-    if record_bounds:
-        with single_blas_thread():
-            bounds = _audit_bounds(ut)
-
-    diag_min, diag_max, offdiag_max, trace_error = bounds if record_bounds else (None,) * 4
     return GirkoTrace(
         p=p,
         n=n,
@@ -181,8 +175,5 @@ def girko_log_det(y: np.ndarray, record_bounds: bool = False) -> GirkoTrace:
         u_part=u,
         v_part=v,
         power_sums=sums,
-        diag_min=diag_min,
-        diag_max=diag_max,
-        offdiag_max=offdiag_max,
-        trace_error=trace_error,
+        basis=ut,
     )

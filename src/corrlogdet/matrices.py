@@ -45,17 +45,13 @@ class DataMatrix:
             )
         object.__setattr__(self, "values", v)
 
-    @property
-    def n(self) -> int:
-        return self.values.shape[1]
-
 
 def sample_covariance(x: DataMatrix) -> np.ndarray:
     """``X @ X.T / n``; numpy forms ``A @ A.T`` with ``syrk``, so it is
     exactly symmetric."""
     v = x.values
     g = v @ v.T
-    g /= x.n
+    g /= v.shape[1]
     return g
 
 

@@ -235,7 +235,7 @@ class WeightVector:
 class KCoefficients(NamedTuple):
     """Polynomial-in-power-sums weights of the sphere fourth-moment formula.
 
-    The five coefficients always sum to zero.
+    The five coefficients always sum to zero: ``sum(k) == 0``.
     """
 
     constant: Number
@@ -243,9 +243,6 @@ class KCoefficients(NamedTuple):
     c22: Number
     c222: Number
     c2222: Number
-
-    def total(self) -> Number:
-        return self.constant + self.c44 + self.c22 + self.c222 + self.c2222
 
 
 def k_coefficients(s2: Number, s3: Number, s4: Number, n: int) -> KCoefficients:
@@ -288,25 +285,17 @@ def fourth_moment_raw(w: WeightVector, t: MomentTable) -> Number:
 def fourth_moment_centered(w: WeightVector, t: MomentTable) -> Number:
     """``E[(sum a_k (Z_k^2 - E Z_k^2))^4]`` for exchangeable Z.
 
-    Needs every table entry of half-degree <= 4; holds with or without
-    the sphere constraint.
+    The binomial expansion around ``c = E Z_k^2``, the mean of the weighted
+    sum: ``E S^4 - 4c E S^3 + 6c^2 E S^2 - 3c^4`` with ``S = sum a_k Z_k^2``.
+    Needs every table entry of half-degree <= 4; holds with or without the
+    sphere constraint.
     """
     t.require(ALL_KEYS)
-    s2, s3, s4 = w.s2, w.s3, w.s4
-    b2 = t.get(2)
-    return (
-        s4 * t.get(8)
-        + 4 * (s3 - s4) * t.get(6, 2)
-        - 4 * s3 * b2 * t.get(6)
-        + 3 * (s2 * s2 - s4) * t.get(4, 4)
-        + 6 * (s2 - s2 * s2 - 2 * s3 + 2 * s4) * t.get(4, 2, 2)
-        + 12 * (-s2 + s3) * b2 * t.get(4, 2)
-        + 4 * (3 * s2 - 2 * s3 - 1) * b2 * t.get(2, 2, 2)
-        + (-6 * s2 + 3 * s2 * s2 + 8 * s3 - 6 * s4 + 1) * t.get(2, 2, 2, 2)
-        + 6 * (1 - s2) * b2 * b2 * t.get(2, 2)
-        + 6 * s2 * b2 * b2 * t.get(4)
-        - 3 * b2**4
-    )
+    s2, s3 = w.s2, w.s3
+    c = t.get(2)
+    es2 = s2 * t.get(4) + (1 - s2) * t.get(2, 2)
+    es3 = s3 * t.get(6) + 3 * (s2 - s3) * t.get(4, 2) + (1 - 3 * s2 + 2 * s3) * t.get(2, 2, 2)
+    return fourth_moment_raw(w, t) - 4 * c * es3 + 6 * c * c * es2 - 3 * c**4
 
 
 def fourth_moment_sphere(w: WeightVector, t: MomentTable) -> Number:

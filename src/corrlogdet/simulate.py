@@ -26,6 +26,8 @@ from .matrices import log_det_spd, sample_correlation, sample_covariance
 from .sampling import RngStream, TailLaw, fill_matrix, resolve_parallelism
 
 _STATISTICS = ("corr_logdet", "cov_logdet")
+# config fields under the JSON "outputs" key, in the order they are written
+_OUTPUTS = ("csv_path", "json_path", "svg_path")
 _FLAG_BUDGET = 0.001
 _KDE_POINTS = 256
 _KDE_BLOCK = 16
@@ -65,6 +67,10 @@ class ExperimentConfig:
             raise ConfigError(f"statistic must be one of {_STATISTICS}")
         if self.parallelism is not None and self.parallelism < 1:
             raise ConfigError("parallelism must be >= 1")
+        for key in _OUTPUTS:
+            path = getattr(self, key)
+            if path is not None and not isinstance(path, str):
+                raise ConfigError(f"outputs.{key} must be a path string, got {path!r}")
 
     def to_dict(self) -> dict:
         out: dict[str, Any] = {
@@ -76,13 +82,7 @@ class ExperimentConfig:
             "statistic": self.statistic,
             "parallelism": self.parallelism if self.parallelism is not None else "auto",
         }
-        outputs = {}
-        if self.csv_path:
-            outputs["csv_path"] = self.csv_path
-        if self.json_path:
-            outputs["json_path"] = self.json_path
-        if self.svg_path:
-            outputs["svg_path"] = self.svg_path
+        outputs = {key: getattr(self, key) for key in _OUTPUTS if getattr(self, key)}
         if outputs:
             out["outputs"] = outputs
         return out
@@ -104,9 +104,7 @@ class ExperimentConfig:
                 parallelism=(
                     None if parallelism in ("auto", None) else _json_int("parallelism", parallelism)
                 ),
-                csv_path=outputs.pop("csv_path", None),
-                json_path=outputs.pop("json_path", None),
-                svg_path=outputs.pop("svg_path", None),
+                **{key: outputs.pop(key, None) for key in _OUTPUTS},
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid experiment config: {exc}") from exc
@@ -325,19 +323,14 @@ def statistics_csv(report: ExperimentReport) -> str:
 
 def write_outputs(report: ExperimentReport, config: ExperimentConfig) -> list[str]:
     """Write whichever of csv/json/svg outputs the config requests."""
-    written = []
-    if config.csv_path:
-        with open(config.csv_path, "w", encoding="ascii") as fh:
-            fh.write(statistics_csv(report))
-        written.append(config.csv_path)
-    if config.json_path:
-        with open(config.json_path, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
-        written.append(config.json_path)
-    if config.svg_path:
-        from .svgplot import emit_plot
+    from .svgplot import emit_plot
 
-        with open(config.svg_path, "w", encoding="utf-8") as fh:
-            fh.write(emit_plot(report))
-        written.append(config.svg_path)
+    render = {"csv_path": statistics_csv, "json_path": ExperimentReport.to_json, "svg_path": emit_plot}
+    written = []
+    for key in _OUTPUTS:
+        path = getattr(config, key)
+        if path:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(render[key](report))
+            written.append(path)
     return written

@@ -109,6 +109,8 @@ def convergence_diagnostic(
     query = MomentLimitQuery(alpha=law.tail_index, exponents=tuple(exponents))
     if sum(query.exponents) > 4:
         raise ParameterDomainError("diagnostics support total half-degree <= 4")
+    if any(n < 1 for n in n_grid):
+        raise ParameterDomainError(f"grid entries must be >= 1, got {list(n_grid)}")
     limit = moment_limit(query)
     rows = []
     for idx, n in enumerate(n_grid):

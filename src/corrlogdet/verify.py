@@ -15,7 +15,7 @@ import numpy as np
 
 from .blas import single_blas_thread
 from .errors import ParameterDomainError
-from .girko import girko_log_det
+from .girko import audit_bounds, girko_log_det
 from .matrices import log_det_spd, sample_correlation
 from .moments import (
     _MAX_ORACLE_N,
@@ -136,7 +136,7 @@ def certify_zero_sum(seed: int = 20241) -> VerificationReport:
         raw = rng.uniform(0.05, 1.0, size=n)
         w = WeightVector.normalized([float(v) for v in raw])
         k = k_coefficients(w.s2, w.s3, w.s4, n)
-        worst = max(worst, abs(float(k.total())))
+        worst = max(worst, abs(float(sum(k))))
     report = VerificationReport("coefficient zero-sum")
     report.add(
         "zero-sum residual",
@@ -218,9 +218,9 @@ def verify_moments(
     nmax: int = 6, vectors: int = 50, trials: int = 20, seed: int = 20243
 ) -> VerificationReport:
     """Umbrella rational-arithmetic certification used by the CLI."""
-    if not 3 <= nmax <= _MAX_ORACLE_N or vectors < 1 or trials < 1:
+    if not 3 <= nmax <= _MAX_ORACLE_N or vectors < 1 or trials < 1 or seed < 0:
         raise ParameterDomainError(
-            f"need 3 <= nmax <= {_MAX_ORACLE_N}, vectors >= 1 and trials >= 1"
+            f"need 3 <= nmax <= {_MAX_ORACLE_N}, vectors >= 1, trials >= 1 and seed >= 0"
         )
     report = VerificationReport("moment identity verification")
     report.checks += certify_sphere_identities(
@@ -248,8 +248,8 @@ def verify_girko(cases: int = 200, seed: int = 20244) -> VerificationReport:
     off-diagonal entry bounds of the unit-trace projector at every step,
     its unit trace, and the exactness of the diagonal/off-diagonal split.
     """
-    if cases < 1:
-        raise ParameterDomainError("need cases >= 1")
+    if cases < 1 or seed < 0:
+        raise ParameterDomainError("need cases >= 1 and seed >= 0")
     rng = np.random.default_rng(seed)
     worst_rel = worst_split = worst_trace = 0.0
     bad_bounds = 0
@@ -263,18 +263,15 @@ def verify_girko(cases: int = 200, seed: int = 20244) -> VerificationReport:
             x = fill_matrix(law, p, n, RngStream(seed, case))
             chol = log_det_spd(sample_correlation(x))
             # sample_correlation left the row-normalized Y in x
-            trace = girko_log_det(x.values, record_bounds=True)
+            trace = girko_log_det(x.values)
+            diag_min, diag_max, offdiag_max, trace_error = audit_bounds(trace)
 
         rel = abs(trace.log_det - chol) / max(abs(chol), 1e-6)
         split = float(np.max(np.abs(trace.u_part + trace.v_part - trace.z_tilde)))
-        tr_err = float(np.max(trace.trace_error))
-        steps = np.arange(p)
-        scale = n - steps
-        diag_ok = bool(
-            np.all(trace.diag_min >= -1e-12)
-            and np.all(trace.diag_max <= 1.0 / scale + 1e-12)
-        )
-        off_ok = bool(np.all(trace.offdiag_max <= 0.5 / scale + 1e-12))
+        tr_err = float(np.max(trace_error))
+        scale = n - np.arange(p)
+        diag_ok = bool(np.all(diag_min >= -1e-12) and np.all(diag_max <= 1.0 / scale + 1e-12))
+        off_ok = bool(np.all(offdiag_max <= 0.5 / scale + 1e-12))
         s1_err = float(np.max(np.abs(trace.power_sums[:, 0] - 1.0)))
         worst_rel = max(worst_rel, rel)
         worst_split = max(worst_split, split, s1_err)

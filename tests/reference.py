@@ -21,3 +21,13 @@ def corr_law(p: int, n: int) -> tuple[float, float]:
     ratio = p / n
     mu = (p - n + 0.5) * math.log1p(-ratio) - p + ratio
     return mu, -2.0 * math.log1p(-ratio) - 2.0 * ratio
+
+
+def stirling_gap(p: int, n: int) -> float:
+    """Finite-n defect ``(p-n-1/2) log(1-p/n) - p - sum_{i<p} log(1-i/n)``.
+
+    Exactly the mismatch between the correlation-law centering, the
+    combinatorial constant of the sequential decomposition, and the
+    aggregated step variance; it is O(1/n) at a fixed aspect ratio.
+    """
+    return (p - n - 0.5) * math.log1p(-p / n) - p - float(np.sum(np.log1p(-np.arange(p) / n)))

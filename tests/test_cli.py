@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -82,6 +83,10 @@ def test_simulate_unknown_config_key(tmp_path, config_file, capsys):
         ({"law": {"family": "inverse_gamma", "shape": 3.5, "scale": 2, "centered": "false"}}, []),
         ({}, ["--reps", "5"]),
         ({"law": {"family": "student_t", "df": "3.5"}}, []),
+        # --out-csv overrides csv_path, so the bad paths go to the other two
+        ({"outputs": {"json_path": True}}, []),
+        ({"outputs": {"svg_path": 7}}, []),
+        ({"outputs": {"json_path": ["a"]}}, []),
     ],
 )
 def test_simulate_bad_values_exit_2_before_running(tmp_path, config_file, capsys, edit, extra_argv):
@@ -101,6 +106,14 @@ def test_verify_moments_small(capsys):
     out = capsys.readouterr().out
     assert "[PASS]" in out
     assert "FAIL" not in out
+
+
+def test_verify_moments_stdout_pinned(capsys):
+    # integer, Fraction and pure-Python float arithmetic only: no BLAS, so
+    # the bytes are the same on every machine
+    assert main(["verify-moments", "--nmax", "4", "--vectors", "6", "--trials", "3"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "448cda460a8452a79ea779e9041086878dd3ecec17cbc0b3a5436d8de019b532"
 
 
 def test_verify_girko_small(capsys):
@@ -170,6 +183,11 @@ def test_asymptotics_bad_threads_exit_2(monkeypatch, capsys, threads, k):
         ["verify-moments", "--nmax", "2"],
         ["verify-moments", "--vectors", "0"],
         ["verify-moments", "--trials", "0"],
+        ["verify-girko", "--seed", "-1"],
+        ["verify-moments", "--seed", "-1"],
+        # the unit-exponent path draws nothing, yet its grid is checked
+        ["asymptotics", "--alpha", "3.5", "--k", "1", "--grid", "-5"],
+        ["asymptotics", "--alpha", "3.5", "--k", "1", "--grid", "64,0"],
     ],
 )
 def test_bad_counts_and_lists_exit_2(argv, capsys):

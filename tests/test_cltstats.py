@@ -10,10 +10,9 @@ from corrlogdet import (
     ks_test,
     standardize_corr,
     standardize_cov,
-    stirling_gap,
     summary_moments,
 )
-from reference import corr_law
+from reference import corr_law, stirling_gap
 
 
 def test_constants_at_half_ratio():

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from corrlogdet import cltstats, girko
 from corrlogdet import (
@@ -16,7 +15,7 @@ from corrlogdet import (
     sample_correlation,
 )
 from corrlogdet.blas import single_blas_thread
-from dense_projector import dense_q
+from dense_projector import dense_audit, dense_q
 from mc_table import mc_moment_table
 from reference import corr_law, unit_rows
 
@@ -189,42 +188,15 @@ def test_singular_step_reports_first_failing_row(edits, step):
 
 def test_trace_invariants():
     x = fill_matrix(TailLaw.student_t(3.5), 20, 60, RngStream(10))
-    trace = girko_log_det(unit_rows(x), record_bounds=True)
+    trace = girko_log_det(unit_rows(x))
+    diag_min, diag_max, offdiag_max, trace_error = girko.audit_bounds(trace)
     assert np.max(np.abs(trace.u_part + trace.v_part - trace.z_tilde)) < 1e-10
     assert np.max(np.abs(trace.power_sums[:, 0] - 1.0)) < 1e-10
-    assert np.max(trace.trace_error) < 1e-10
+    assert np.max(trace_error) < 1e-10
     scale = 60 - np.arange(20)
-    assert np.all(trace.diag_min >= -1e-12)
-    assert np.all(trace.diag_max <= 1.0 / scale + 1e-12)
-    assert np.all(trace.offdiag_max <= 0.5 / scale + 1e-12)
-
-
-def _dense_audit(y: np.ndarray) -> np.ndarray:
-    """Bound audit with the full n-by-n projector and a dense outer product.
-
-    Rows: diag_min, diag_max, offdiag_max, trace_error of Q_i per step.
-    The rank-one vectors are the columns of the same QR factor that
-    ``girko_log_det`` uses, so the two agree bit for bit.
-    """
-    p, n = y.shape
-    basis = scipy.linalg.qr(y.T, mode="economic")[0]
-    dense = np.eye(n)
-    outer = np.empty((n, n))
-    out = np.empty((4, p))
-    for i in range(p):
-        m = n - i
-        diag = dense.diagonal().copy()
-        np.fill_diagonal(dense, 0.0)
-        out[:, i] = (
-            float(diag.min()) / m,
-            float(diag.max()) / m,
-            max(float(dense.max()), -float(dense.min())) / m,
-            abs(float(diag.sum()) / m - 1.0),
-        )
-        np.fill_diagonal(dense, diag)
-        np.outer(basis[:, i], basis[:, i], out=outer)
-        np.subtract(dense, outer, out=dense)
-    return out
+    assert np.all(diag_min >= -1e-12)
+    assert np.all(diag_max <= 1.0 / scale + 1e-12)
+    assert np.all(offdiag_max <= 0.5 / scale + 1e-12)
 
 
 @pytest.mark.parametrize(
@@ -251,20 +223,17 @@ def test_blocked_audit_is_bit_identical_to_dense(p, n, blocks, law):
     assert -(-n // rows) == blocks
     y = unit_rows(fill_matrix(law, p, n, RngStream(17)))
     with single_blas_thread():
-        audited = girko_log_det(y, record_bounds=True)
-        plain = girko_log_det(y)
-        expected = _dense_audit(y)
-    for name in ("z_tilde", "u_part", "v_part", "power_sums"):
-        assert np.array_equal(getattr(audited, name), getattr(plain, name)), name
+        audited = girko.audit_bounds(girko_log_det(y))
+        expected = dense_audit(y)
     for k, name in enumerate(("diag_min", "diag_max", "offdiag_max", "trace_error")):
-        assert np.array_equal(getattr(audited, name), expected[k]), name
+        assert np.array_equal(audited[k], expected[k]), name
 
 
 def test_offdiag_bound_of_identity_is_positive_zero():
     # step 0 sees the identity, whose off-diagonal bound is max(0.0, -0.0);
     # array_equal cannot tell the sign of that zero apart, so check it here
     y = unit_rows(fill_matrix(TailLaw.gaussian(), 3, 20, RngStream(5)))
-    bound = girko_log_det(y, record_bounds=True).offdiag_max[0]
+    bound = girko.audit_bounds(girko_log_det(y))[2, 0]
     assert bound == 0.0 and not np.signbit(bound)
 
 
