@@ -17,7 +17,7 @@ import sys
 
 from .errors import ConfigError, NumericalFailure, ParameterDomainError, ResourceError
 from .sampling import RngStream, TailLaw
-from .simulate import ExperimentConfig, run_simulation, write_outputs
+from .simulate import ExperimentConfig, check_output_paths, run_simulation, write_outputs, write_text
 from .svgplot import emit_plot
 from .tail_limits import convergence_diagnostic, diagnostic_csv
 from .verify import verify_girko, verify_moments
@@ -136,13 +136,13 @@ def _cmd_asymptotics(args) -> int:
         law = TailLaw.symmetric_pareto(args.alpha)
     else:
         law = TailLaw.student_t(args.alpha)
+    check_output_paths({"--out-csv": args.out_csv})
     rows = convergence_diagnostic(
         law, exponents, grid, reps=args.reps, rng=RngStream(args.seed)
     )
     csv_text = diagnostic_csv(rows)
     if args.out_csv:
-        with open(args.out_csv, "w", encoding="ascii") as fh:
-            fh.write(csv_text)
+        write_text(args.out_csv, csv_text)
         print(f"wrote {args.out_csv}")
     else:
         sys.stdout.write(csv_text)
@@ -157,8 +157,7 @@ def _cmd_plot(args) -> int:
             report = ExperimentReport.from_json(fh.read())
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"cannot load report {args.in_path}: {exc}") from exc
-    with open(args.out_path, "w", encoding="utf-8") as fh:
-        fh.write(emit_plot(report))
+    write_text(args.out_path, emit_plot(report))
     print(f"wrote {args.out_path}")
     return 0
 

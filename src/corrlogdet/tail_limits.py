@@ -109,16 +109,23 @@ def convergence_diagnostic(
     query = MomentLimitQuery(alpha=law.tail_index, exponents=tuple(exponents))
     if sum(query.exponents) > 4:
         raise ParameterDomainError("diagnostics support total half-degree <= 4")
-    if any(n < 1 for n in n_grid):
-        raise ParameterDomainError(f"grid entries must be >= 1, got {list(n_grid)}")
+    sphere = query.exponents == (1,)
+    # every grid point is checked before the first one is estimated: the
+    # sphere constraint holds from one coordinate, the batches need four
+    min_n = 1 if sphere else 4
+    if any(n < min_n for n in n_grid):
+        raise ParameterDomainError(f"grid entries must be >= {min_n}, got {list(n_grid)}")
+    if not sphere:
+        if reps < _MOM_BLOCKS:
+            raise ParameterDomainError(f"need reps >= {_MOM_BLOCKS}, one row per batch, got {reps}")
+        tail_c = standardized_tail_constant(law)
+        key = moment_key(*(2 * k for k in query.exponents))
     limit = moment_limit(query)
     rows = []
     for idx, n in enumerate(n_grid):
-        if query.exponents == (1,):
+        if sphere:
             estimate = 1.0
         else:
-            tail_c = standardized_tail_constant(law)
-            key = moment_key(*(2 * k for k in query.exponents))
             batch = mc_moment_batches(
                 law, n, reps, RngStream(rng.master_seed, rng.stream_id ^ (idx + 1)),
                 batches=_MOM_BLOCKS, keys=(key,),

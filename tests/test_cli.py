@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 
 import pytest
 
@@ -99,6 +100,118 @@ def test_simulate_bad_values_exit_2_before_running(tmp_path, config_file, capsys
     assert capsys.readouterr().err.startswith("error: ")
     assert not csv_path.exists()
 
+
+
+@pytest.mark.parametrize(
+    "outputs, message",
+    [
+        ({"--out-csv": "missing/stats.csv"}, "cannot write {tmp}/missing/stats.csv: "),
+        ({"--out-json": "missing/report.json"}, "cannot write {tmp}/missing/report.json: "),
+        ({"--out-svg": "cfg.json/fig.svg"}, "cfg.json is not a directory"),
+        ({"--out-csv": "out.txt", "--out-json": "out.txt"}, "outputs.csv_path and outputs.json_path"),
+        ({"--out-csv": "a.txt", "--out-svg": "./a.txt"}, "outputs.csv_path and outputs.svg_path"),
+        ({"--out-json": "a.txt", "--out-svg": "link/a.txt"}, "outputs.json_path and outputs.svg_path"),
+    ],
+    ids=["csv-dir", "json-dir", "svg-dir-is-file", "csv-json", "csv-svg-dot", "json-svg-symlink"],
+)
+def test_simulate_bad_outputs_exit_2_before_running(
+    tmp_path, config_file, capsys, monkeypatch, outputs, message
+):
+    def must_not_run(config):
+        raise AssertionError("the run started before its outputs were checked")
+
+    monkeypatch.setattr("corrlogdet.cli.run_simulation", must_not_run)
+    (tmp_path / "link").symlink_to(tmp_path)
+    argv = ["simulate", "--config", str(config_file)]
+    for option, name in outputs.items():
+        argv += [option, os.path.join(tmp_path, name)]  # keeps "./" as spelled
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert message.format(tmp=tmp_path) in captured.err
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json", "link"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--grid", "2000,2"],
+        ["--grid", "500", "--reps", "15"],
+        ["--grid", "500", "--out-csv", "{tmp}/missing/diag.csv"],
+    ],
+    ids=["grid-below-4", "reps-below-batches", "missing-dir"],
+)
+def test_asymptotics_bad_arguments_exit_2_before_sampling(tmp_path, capsys, monkeypatch, argv):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a grid point was estimated before every argument was checked")
+
+    monkeypatch.setattr("corrlogdet.tail_limits.mc_moment_batches", must_not_run)
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert main(["asymptotics", "--alpha", "3.5", "--k", "2", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_rerun_into_the_same_paths_gives_the_same_bytes(tmp_path, config_file, capsys):
+    paths = {opt: tmp_path / name for opt, name in [("--out-csv", "s.csv"), ("--out-svg", "f.svg")]}
+    argv = ["simulate", "--config", str(config_file), "--reps", "40"]
+    for opt, path in paths.items():
+        argv += [opt, str(path)]
+        path.write_text("stale\n" * 10000)  # longer than the output
+    assert main(argv) == 0
+    first = {opt: path.read_bytes() for opt, path in paths.items()}
+    assert main(argv) == 0
+    assert {opt: path.read_bytes() for opt, path in paths.items()} == first
+    assert b"stale" not in b"".join(first.values())
+
+
+def test_outputs_are_never_truncated_to_zero(tmp_path, config_file, capsys, monkeypatch):
+    # opening with O_TRUNC, as open(path, "w") does, makes ext4 flush the old
+    # bytes on close and the next truncate of the file wait for that flush
+    opened = {}
+    real_open = os.open
+
+    def recording_open(path, flags, *args, **kwargs):
+        opened[os.fspath(path)] = flags
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    out = {name: str(tmp_path / name) for name in ("s.csv", "r.json", "f.svg", "d.csv", "p.svg")}
+    for _ in range(2):  # the second round rewrites existing files
+        argv = ["simulate", "--config", str(config_file), "--reps", "40", "--out-csv", out["s.csv"]]
+        assert main([*argv, "--out-json", out["r.json"], "--out-svg", out["f.svg"]]) == 0
+        argv = ["asymptotics", "--alpha", "3.5", "--k", "1", "--grid", "64", "--out-csv", out["d.csv"]]
+        assert main(argv) == 0
+        assert main(["plot", "--in", out["r.json"], "--out", out["p.svg"]]) == 0
+    assert sorted(opened) == sorted(out.values())
+    assert all(flags & os.O_WRONLY and not flags & os.O_TRUNC for flags in opened.values())
+
+
+def test_read_only_output_fails_as_open_for_writing_does(tmp_path, config_file, capsys):
+    csv_path = tmp_path / "stats.csv"
+    csv_path.write_text("kept\n")
+    csv_path.chmod(0o444)
+    inode = csv_path.stat().st_ino
+    code = main(["simulate", "--config", str(config_file), "--reps", "40", "--out-csv", str(csv_path)])
+    if os.access(csv_path, os.W_OK):
+        # a superuser writes through file modes, with open(path, "w") too;
+        # the file is rewritten in place and stays read-only
+        assert code == 0
+        assert csv_path.read_text().startswith("rep_index,")
+    else:
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {csv_path}: ")
+        assert csv_path.read_text() == "kept\n"
+    assert csv_path.stat().st_ino == inode
+    assert csv_path.stat().st_mode & 0o777 == 0o444
+
+
+def test_output_path_that_is_a_directory_exits_2(tmp_path, config_file, capsys):
+    code = main(["simulate", "--config", str(config_file), "--reps", "40", "--out-json", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path}: ")
 
 def test_verify_moments_small(capsys):
     code = main(["verify-moments", "--nmax", "3", "--vectors", "2", "--trials", "1"])

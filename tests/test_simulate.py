@@ -447,6 +447,29 @@ def test_svg_plot_golden_bytes():
     )
 
 
+
+def test_write_text_replaces_in_place(tmp_path):
+    target = tmp_path / "out.csv"
+    target.write_text("a much longer previous output\n" * 100)
+    hard = tmp_path / "hard.csv"
+    os.link(target, hard)
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    sim.write_text(str(link), "short\n")
+    assert target.read_bytes() == b"short\n"
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert hard.read_bytes() == b"short\n"  # still the same file
+    sim.write_text(os.devnull, "a device is written, not cut\n")
+
+
+def test_write_text_creates_files_under_the_umask(tmp_path):
+    old = os.umask(0o027)
+    try:
+        sim.write_text(str(tmp_path / "new.csv"), "x")
+    finally:
+        os.umask(old)
+    assert (tmp_path / "new.csv").stat().st_mode & 0o777 == 0o640
+
 def test_statistics_csv_independent_of_openblas_threads(tmp_path):
     # the OpenBLAS start-up thread count must not reach the values: each
     # run pins BLAS to one thread itself
