@@ -85,6 +85,7 @@ def _cmd_simulate(args) -> int:
         overrides["svg_path"] = args.out_svg
     if overrides:
         config = dataclasses.replace(config, **overrides)
+    config.check_outputs()
     report = run_simulation(config)
     written = write_outputs(report, config)
     s = report.summary
@@ -157,6 +158,7 @@ def _cmd_plot(args) -> int:
             report = ExperimentReport.from_json(fh.read())
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"cannot load report {args.in_path}: {exc}") from exc
+    check_output_paths({"--in": args.in_path, "--out": args.out_path})
     write_text(args.out_path, emit_plot(report))
     print(f"wrote {args.out_path}")
     return 0

@@ -565,6 +565,15 @@ def _row_estimates(
     return {key: formulas[key]() for key in keys}
 
 
+def check_batch_shape(n: int, reps: int, batches: int) -> None:
+    """Reject the ``n``, ``reps`` and ``batches`` that ``mc_moment_batches``
+    cannot estimate from, before anything is drawn."""
+    if n < 4:
+        raise ParameterDomainError("need n >= 4 for the quadruple moments")
+    if reps < batches:
+        raise ParameterDomainError("need at least one replication per batch")
+
+
 def mc_moment_batches(
     law: TailLaw,
     n: int,
@@ -590,10 +599,7 @@ def mc_moment_batches(
     neither the thread count nor the blocks change a bit of the result.
     Memory in flight is one chunk of raw draws per worker.
     """
-    if n < 4:
-        raise ParameterDomainError("need n >= 4 for the quadruple moments")
-    if reps < batches:
-        raise ParameterDomainError("need at least one replication per batch")
+    check_batch_shape(n, reps, batches)
     rows_per_chunk = max(1, max_chunk_entries // n)
     # einsum sums a row longer than its 8192-element buffer in another order
     # when the array holds that row alone, so a block has at least two rows

@@ -73,6 +73,10 @@ class ExperimentConfig:
             path = getattr(self, key)
             if path is not None and not isinstance(path, str):
                 raise ConfigError(f"outputs.{key} must be a path string, got {path!r}")
+
+    def check_outputs(self) -> None:
+        """Check the output paths against the file system, as
+        :func:`check_output_paths` does, before the run starts."""
         check_output_paths({f"outputs.{key}": getattr(self, key) for key in _OUTPUTS})
 
     def to_dict(self) -> dict:
@@ -344,22 +348,37 @@ def check_output_paths(paths: dict[str, str | None]) -> None:
 def write_text(path: str, text: str) -> None:
     """Replace the contents of ``path`` with ``text`` in UTF-8.
 
-    The file is opened without ``O_TRUNC`` and cut at the end of the new
-    text once it is written.  Truncating a file to zero makes ext4
-    (``auto_da_alloc``) start writeback when it is closed, and the next
-    truncate of that file waits for it: about 40 ms per output on every
-    re-run into the same paths.  Otherwise this acts as ``open(path, "w")``:
+    The file is opened without ``O_TRUNC``, set to the length of the new
+    bytes and written over from its start.  On ext4 a truncate that frees
+    blocks already written to disk waited about 40 ms, and
+    ``open(path, "w")`` frees them all on a re-run into existing outputs.
+    Here blocks are freed only when the new text needs fewer 4 kB blocks
+    than the old: re-running a config, also with another seed at the same
+    ``reps``, frees none.  Otherwise this acts as ``open(path, "w")``:
     permissions and the umask apply, symlinks are written through, hard
-    links keep sharing the file, and nothing is fsynced.  Only a regular
-    file is cut; a device such as ``/dev/null`` cannot be.  An ``OSError``
-    becomes a :class:`ConfigError` naming the path.
+    links keep sharing the file, and nothing is fsynced.  A write that
+    raises leaves an empty file; a process killed in the middle of the
+    write, or a power loss, can leave the new length with old bytes after
+    the part written.  Only a regular file is resized, not a device such
+    as ``/dev/null``.  An ``OSError`` becomes a :class:`ConfigError`
+    naming the path.
     """
+    data = memoryview(text.encode("utf-8"))
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-        with open(fd, "wb") as fh:
-            fh.write(text.encode("utf-8"))
-            if stat.S_ISREG(os.fstat(fd).st_mode):
-                fh.truncate()
+        try:
+            regular = stat.S_ISREG(os.fstat(fd).st_mode)
+            try:
+                if regular:
+                    os.ftruncate(fd, len(data))
+                while data:
+                    data = data[os.write(fd, data):]
+            except BaseException:
+                if regular:
+                    os.ftruncate(fd, 0)
+                raise
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 

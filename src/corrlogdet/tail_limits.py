@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterDomainError
-from .moments import mc_moment_batches, moment_key
+from .moments import check_batch_shape, mc_moment_batches, moment_key
 from .sampling import RngStream, TailLaw, resolve_parallelism
 
 _MOM_BLOCKS = 16
@@ -109,15 +109,13 @@ def convergence_diagnostic(
     query = MomentLimitQuery(alpha=law.tail_index, exponents=tuple(exponents))
     if sum(query.exponents) > 4:
         raise ParameterDomainError("diagnostics support total half-degree <= 4")
+    if any(n < 1 for n in n_grid):
+        raise ParameterDomainError(f"grid entries must be >= 1, got {list(n_grid)}")
     sphere = query.exponents == (1,)
-    # every grid point is checked before the first one is estimated: the
-    # sphere constraint holds from one coordinate, the batches need four
-    min_n = 1 if sphere else 4
-    if any(n < min_n for n in n_grid):
-        raise ParameterDomainError(f"grid entries must be >= {min_n}, got {list(n_grid)}")
     if not sphere:
-        if reps < _MOM_BLOCKS:
-            raise ParameterDomainError(f"need reps >= {_MOM_BLOCKS}, one row per batch, got {reps}")
+        # every grid point is checked before the first one is estimated
+        for n in n_grid:
+            check_batch_shape(n, reps, _MOM_BLOCKS)
         tail_c = standardized_tail_constant(law)
         key = moment_key(*(2 * k for k in query.exponents))
     limit = moment_limit(query)

@@ -101,7 +101,6 @@ def test_simulate_bad_values_exit_2_before_running(tmp_path, config_file, capsys
     assert not csv_path.exists()
 
 
-
 @pytest.mark.parametrize(
     "outputs, message",
     [
@@ -131,6 +130,20 @@ def test_simulate_bad_outputs_exit_2_before_running(
     assert captured.err.startswith("error: ")
     assert message.format(tmp=tmp_path) in captured.err
     assert sorted(os.listdir(tmp_path)) == ["cfg.json", "link"]
+
+
+def test_config_output_replaced_by_an_override_is_not_checked(tmp_path, config_file, capsys):
+    # the config names a directory that does not exist here, but --out-csv
+    # replaces that path, so it is never written and must not stop the run
+    raw = json.loads(config_file.read_text())
+    raw["outputs"] = {"csv_path": str(tmp_path / "missing" / "stats.csv")}
+    config_file.write_text(json.dumps(raw))
+    csv_path = tmp_path / "stats.csv"
+    argv = ["simulate", "--config", str(config_file), "--reps", "40", "--out-csv", str(csv_path)]
+    assert main(argv) == 0
+    assert csv_path.read_text().startswith("rep_index,")
+    assert main(["simulate", "--config", str(config_file), "--reps", "40"]) == 2
+    assert "missing/stats.csv" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -168,16 +181,21 @@ def test_rerun_into_the_same_paths_gives_the_same_bytes(tmp_path, config_file, c
 
 
 def test_outputs_are_never_truncated_to_zero(tmp_path, config_file, capsys, monkeypatch):
-    # opening with O_TRUNC, as open(path, "w") does, makes ext4 flush the old
-    # bytes on close and the next truncate of the file wait for that flush
-    opened = {}
-    real_open = os.open
+    # truncating a file to zero, as open(path, "w") does with O_TRUNC, frees
+    # every block of an existing output, and on ext4 that waited about 40 ms
+    opened, lengths = {}, []
+    real_open, real_ftruncate = os.open, os.ftruncate
 
     def recording_open(path, flags, *args, **kwargs):
         opened[os.fspath(path)] = flags
         return real_open(path, flags, *args, **kwargs)
 
+    def recording_ftruncate(fd, length):
+        lengths.append(length)
+        return real_ftruncate(fd, length)
+
     monkeypatch.setattr(os, "open", recording_open)
+    monkeypatch.setattr(os, "ftruncate", recording_ftruncate)
     out = {name: str(tmp_path / name) for name in ("s.csv", "r.json", "f.svg", "d.csv", "p.svg")}
     for _ in range(2):  # the second round rewrites existing files
         argv = ["simulate", "--config", str(config_file), "--reps", "40", "--out-csv", out["s.csv"]]
@@ -187,6 +205,7 @@ def test_outputs_are_never_truncated_to_zero(tmp_path, config_file, capsys, monk
         assert main(["plot", "--in", out["r.json"], "--out", out["p.svg"]]) == 0
     assert sorted(opened) == sorted(out.values())
     assert all(flags & os.O_WRONLY and not flags & os.O_TRUNC for flags in opened.values())
+    assert len(lengths) == 10 and min(lengths) > 0
 
 
 def test_read_only_output_fails_as_open_for_writing_does(tmp_path, config_file, capsys):
@@ -208,10 +227,23 @@ def test_read_only_output_fails_as_open_for_writing_does(tmp_path, config_file, 
     assert csv_path.stat().st_mode & 0o777 == 0o444
 
 
+@pytest.mark.parametrize("out_name", ["r.json", "link/r.json"])
+def test_plot_over_its_own_input_exits_2(tmp_path, config_file, capsys, out_name):
+    report = tmp_path / "r.json"
+    assert main(["simulate", "--config", str(config_file), "--reps", "40", "--out-json", str(report)]) == 0
+    saved = report.read_bytes()
+    (tmp_path / "link").symlink_to(tmp_path)
+    capsys.readouterr()
+    assert main(["plot", "--in", str(report), "--out", str(tmp_path / out_name)]) == 2
+    assert "--in and --out name the same file" in capsys.readouterr().err
+    assert report.read_bytes() == saved
+
+
 def test_output_path_that_is_a_directory_exits_2(tmp_path, config_file, capsys):
     code = main(["simulate", "--config", str(config_file), "--reps", "40", "--out-json", str(tmp_path)])
     assert code == 2
     assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path}: ")
+
 
 def test_verify_moments_small(capsys):
     code = main(["verify-moments", "--nmax", "3", "--vectors", "2", "--trials", "1"])

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import itertools
 import json
@@ -469,6 +470,38 @@ def test_write_text_creates_files_under_the_umask(tmp_path):
     finally:
         os.umask(old)
     assert (tmp_path / "new.csv").stat().st_mode & 0o777 == 0o640
+
+
+@pytest.mark.parametrize(
+    "failure, raised",
+    [
+        (OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), ConfigError),
+        (KeyboardInterrupt(), KeyboardInterrupt),
+    ],
+    ids=["disk-full", "ctrl-c"],
+)
+def test_write_text_interrupted_leaves_no_old_bytes(tmp_path, monkeypatch, failure, raised):
+    # same length as the old text, so a stale tail would look complete
+    target = tmp_path / "stats.csv"
+    target.write_text("".join(f"{i},old\n" for i in range(1000, 2000)))
+    new_text = "".join(f"{i},new\n" for i in range(1000, 2000))
+    real_write = os.write
+    calls = []
+
+    def write_half_then_fail(fd, data):
+        calls.append(len(data))
+        if len(calls) == 1:
+            return real_write(fd, data[: len(data) // 2])
+        raise failure
+
+    monkeypatch.setattr(os, "write", write_half_then_fail)
+    with pytest.raises(raised) as info:
+        sim.write_text(str(target), new_text)
+    monkeypatch.undo()
+    assert len(calls) == 2
+    assert target.read_bytes() == b""
+    if raised is ConfigError:
+        assert str(info.value) == f"cannot write {target}: No space left on device"
 
 def test_statistics_csv_independent_of_openblas_threads(tmp_path):
     # the OpenBLAS start-up thread count must not reach the values: each
