@@ -17,7 +17,14 @@ import sys
 
 from .errors import ConfigError, NumericalFailure, ParameterDomainError, ResourceError
 from .sampling import RngStream, TailLaw
-from .simulate import ExperimentConfig, check_output_paths, run_simulation, write_outputs, write_text
+from .simulate import (
+    ExperimentConfig,
+    ExperimentReport,
+    check_output_paths,
+    run_simulation,
+    write_outputs,
+    write_text,
+)
 from .svgplot import emit_plot
 from .tail_limits import convergence_diagnostic, diagnostic_csv
 from .verify import verify_girko, verify_moments
@@ -151,8 +158,6 @@ def _cmd_asymptotics(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    from .simulate import ExperimentReport
-
     try:
         with open(args.in_path, "r", encoding="utf-8") as fh:
             report = ExperimentReport.from_json(fh.read())

@@ -69,8 +69,6 @@ class GirkoTrace:
     adds to the span.
     """
 
-    p: int
-    n: int
     c_n: float
     z_tilde: np.ndarray
     u_part: np.ndarray
@@ -168,8 +166,6 @@ def girko_log_det(y: np.ndarray) -> GirkoTrace:
     sums = np.stack([qd.sum(axis=1), q2.sum(axis=1), cubes, fourths], axis=1)
 
     return GirkoTrace(
-        p=p,
-        n=n,
         c_n=_c_n(p, n),
         z_tilde=z,
         u_part=u,

@@ -61,6 +61,10 @@ _MAX_ORACLE_N = 8
 _MAX_ORACLE_DEGREE = 6
 _SPHERE_TOL = 1e-8
 
+# Monte Carlo batches per moment estimate; entries per batch chunk (at least one row)
+MC_BATCHES = 16
+_MAX_CHUNK_ENTRIES = 1 << 23
+
 _LOW_KEYS = ((2,), (4,), (2, 2))
 _DEGREE3_KEYS = ((6,), (4, 2), (2, 2, 2))
 _DEGREE4_KEYS = ((8,), (6, 2), (4, 4), (4, 2, 2), (2, 2, 2, 2))
@@ -220,10 +224,6 @@ class WeightVector:
         if abs(float(self.s1) - 1.0) > 1e-12:
             raise ParameterDomainError("weights must sum to 1")
 
-    @property
-    def n(self) -> int:
-        return len(self.a)
-
     @classmethod
     def normalized(cls, values: Sequence[Number]) -> "WeightVector":
         total = sum(values)
@@ -343,12 +343,12 @@ def quadratic_form_moments(
     exchangeable law with moment table ``t``.
 
     Returns the centered and raw third moments of ``z' A z`` and the mixed
-    second moment ``E[z' A z * z' B z]`` (``b_mat=None`` uses ``B = A``).
+    second moment ``E[z' A z * z' B z]``.
     Only traces of products and Hadamard (entrywise) products enter, so
     the evaluation is exact for rational inputs.
     """
     a = _symmetric_object_array(a_mat, "A")
-    b = a if b_mat is None else _symmetric_object_array(b_mat, "B")
+    b = _symmetric_object_array(b_mat, "B")
     if b.shape != a.shape:
         raise ParameterDomainError("A and B must have equal shapes")
     t.require([(2,), (4,), (6,), (2, 2), (4, 2), (2, 2, 2)])
@@ -467,12 +467,12 @@ def enumerated_quadratic_form_moments(a_mat, b_mat, z: Sequence[Number]) -> Quad
     if n > 6:
         raise ResourceError("signed enumeration supports n <= 6")
     a = _symmetric_object_array(a_mat, "A")
-    b = a if b_mat is None else _symmetric_object_array(b_mat, "B")
+    b = _symmetric_object_array(b_mat, "B")
     if a.shape != (n, n) or b.shape != a.shape:
         raise ParameterDomainError(f"A and B must be {n}x{n} to match z")
     iz, dz = _common_denominator(z)
     flat_a, da = _common_denominator(a.flat)
-    flat_b, db = (flat_a, da) if b is a else _common_denominator(b.flat)
+    flat_b, db = _common_denominator(b.flat)
     rows_a = [flat_a[i * n : (i + 1) * n] for i in range(n)]
     rows_b = [flat_b[i * n : (i + 1) * n] for i in range(n)]
 
@@ -484,7 +484,7 @@ def enumerated_quadratic_form_moments(a_mat, b_mat, z: Sequence[Number]) -> Quad
         for signs in itertools.product((1, -1), repeat=n):
             v = [s * x for s, x in zip(signs, perm)]
             qa = form(rows_a, v)
-            qb = qa if b is a else form(rows_b, v)
+            qb = form(rows_b, v)
             s1 += qa
             s2 += qa * qa
             s3 += qa * qa * qa
@@ -565,12 +565,12 @@ def _row_estimates(
     return {key: formulas[key]() for key in keys}
 
 
-def check_batch_shape(n: int, reps: int, batches: int) -> None:
-    """Reject the ``n``, ``reps`` and ``batches`` that ``mc_moment_batches``
-    cannot estimate from, before anything is drawn."""
+def check_batch_shape(n: int, reps: int) -> None:
+    """Reject the ``n`` and ``reps`` that ``mc_moment_batches`` cannot
+    estimate from, before anything is drawn."""
     if n < 4:
         raise ParameterDomainError("need n >= 4 for the quadruple moments")
-    if reps < batches:
+    if reps < MC_BATCHES:
         raise ParameterDomainError("need at least one replication per batch")
 
 
@@ -579,8 +579,6 @@ def mc_moment_batches(
     n: int,
     reps: int,
     rng: RngStream,
-    batches: int = 16,
-    max_chunk_entries: int = 1 << 23,
     keys: Sequence[tuple[int, ...]] = ALL_KEYS,
 ) -> dict[tuple[int, ...], np.ndarray]:
     """Batch means of the sphere-moment estimators over ``reps`` rows.
@@ -589,7 +587,7 @@ def mc_moment_batches(
     ``law``; batch ``b`` draws its rows, chunk by chunk, from the derived
     substream ``rng.generator(b)`` through the same per-law sampler as
     ``fill_matrix``.  Returns, per requested moment key (all of
-    ``ALL_KEYS`` by default), the array of ``batches`` batch means; the
+    ``ALL_KEYS`` by default), the array of ``MC_BATCHES`` batch means; the
     draws, and so the means, do not depend on which keys are requested.
 
     The batches run on a thread pool sized by ``resolve_parallelism`` for
@@ -599,13 +597,13 @@ def mc_moment_batches(
     neither the thread count nor the blocks change a bit of the result.
     Memory in flight is one chunk of raw draws per worker.
     """
-    check_batch_shape(n, reps, batches)
-    rows_per_chunk = max(1, max_chunk_entries // n)
+    check_batch_shape(n, reps)
+    rows_per_chunk = max(1, _MAX_CHUNK_ENTRIES // n)
     # einsum sums a row longer than its 8192-element buffer in another order
     # when the array holds that row alone, so a block has at least two rows
     # unless its chunk has one: a lone last row joins the block before it
     block = max(2, _block_rows(law, n))
-    base, extra = divmod(reps, batches)
+    base, extra = divmod(reps, MC_BATCHES)
     width = _width(law)
 
     def batch_means(b: int) -> list[float]:
@@ -639,5 +637,5 @@ def mc_moment_batches(
 
     workers = resolve_parallelism(None, min(base + (extra > 0), rows_per_chunk) * n)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        means = list((pool.map if workers > 1 else map)(batch_means, range(batches)))
+        means = list((pool.map if workers > 1 else map)(batch_means, range(MC_BATCHES)))
     return {key: np.array(column) for key, column in zip(keys, zip(*means))}

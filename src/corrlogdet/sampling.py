@@ -286,8 +286,8 @@ class RngStream:
     """Splittable random stream keyed by ``(master_seed, stream_id)``.
 
     Equal keys reproduce identical sequences; distinct keys give
-    statistically independent streams.  ``generator(*path)`` derives a
-    substream for a nested index path, and ``row_states(count)`` gives the
+    statistically independent streams.  ``generator(index)`` derives the
+    substream of one index, and ``row_states(count)`` gives the
     ``PCG64`` states of spawned children ``0..count-1`` (the matrix rows),
     so draws never depend on how work is scheduled.
     """
@@ -295,9 +295,8 @@ class RngStream:
     master_seed: int
     stream_id: int = 0
 
-    def generator(self, *path: int) -> np.random.Generator:
-        entropy = (self.master_seed & _MASK64, self.stream_id & _MASK64)
-        entropy += tuple(k & _MASK64 for k in path)
+    def generator(self, index: int) -> np.random.Generator:
+        entropy = (self.master_seed & _MASK64, self.stream_id & _MASK64, index & _MASK64)
         return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
     def row_states(self, count: int) -> list[tuple[int, int]]:

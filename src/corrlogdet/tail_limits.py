@@ -19,10 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterDomainError
-from .moments import check_batch_shape, mc_moment_batches, moment_key
+from .moments import MC_BATCHES, check_batch_shape, mc_moment_batches, moment_key
 from .sampling import RngStream, TailLaw, resolve_parallelism
-
-_MOM_BLOCKS = 16
 
 
 @dataclass(frozen=True)
@@ -100,7 +98,7 @@ def convergence_diagnostic(
     """Scaled Monte Carlo moments against their closed-form limits.
 
     For each n in the grid, estimates the moment by the median of
-    16 block means, applies the ``n**e`` scaling and divides out
+    ``MC_BATCHES`` batch means, applies the ``n**e`` scaling and divides out
     the standardized tail constant; the ratio to the limit should tend
     to 1.  The pure unit-exponent case ``(1,)`` is the sphere constraint
     and gives ratio exactly 1 at every n.
@@ -115,7 +113,7 @@ def convergence_diagnostic(
     if not sphere:
         # every grid point is checked before the first one is estimated
         for n in n_grid:
-            check_batch_shape(n, reps, _MOM_BLOCKS)
+            check_batch_shape(n, reps)
         tail_c = standardized_tail_constant(law)
         key = moment_key(*(2 * k for k in query.exponents))
     limit = moment_limit(query)
@@ -125,8 +123,7 @@ def convergence_diagnostic(
             estimate = 1.0
         else:
             batch = mc_moment_batches(
-                law, n, reps, RngStream(rng.master_seed, rng.stream_id ^ (idx + 1)),
-                batches=_MOM_BLOCKS, keys=(key,),
+                law, n, reps, RngStream(rng.master_seed, rng.stream_id ^ (idx + 1)), keys=(key,)
             )[key]
             mom = float(np.median(batch))
             estimate = n**query.scaling_exponent * mom / tail_c ** (query.r - query.unit_count)
@@ -137,5 +134,5 @@ def convergence_diagnostic(
 def diagnostic_csv(rows: list[DiagnosticRow]) -> str:
     lines = ["n,estimate,limit,ratio,mom_blocks"]
     for row in rows:
-        lines.append(f"{row.n},{row.estimate!r},{row.limit!r},{row.ratio!r},{_MOM_BLOCKS}")
+        lines.append(f"{row.n},{row.estimate!r},{row.limit!r},{row.ratio!r},{MC_BATCHES}")
     return "\n".join(lines) + "\n"

@@ -70,9 +70,7 @@ class VerificationReport:
         return out
 
 
-def certify_sphere_identities(
-    n_values=(3, 4, 5, 6), vectors: int = 50, seed: int = 20240
-) -> VerificationReport:
+def certify_sphere_identities(n_values, vectors: int, seed: int) -> VerificationReport:
     """Exact certification of every sphere identity on enumeration tables.
 
     For each n, draws random rational unit vectors, builds the exact
@@ -127,7 +125,7 @@ def certify_sphere_identities(
     return report
 
 
-def certify_zero_sum(seed: int = 20241) -> VerificationReport:
+def certify_zero_sum(seed: int) -> VerificationReport:
     """Floating-point zero-sum check of the five coefficient polynomials."""
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -165,9 +163,7 @@ def _random_rational_symmetric(n: int, rng: np.random.Generator) -> list[list[Fr
     return m
 
 
-def certify_enumeration_equivalence(
-    n_values=(3, 4, 5), trials: int = 20, seed: int = 20242
-) -> VerificationReport:
+def certify_enumeration_equivalence(n_values, trials: int, seed: int) -> VerificationReport:
     """Exact equality of every moment formula with brute-force enumeration.
 
     Covers the raw/centered/sphere fourth moments of weighted sums of

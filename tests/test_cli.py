@@ -261,6 +261,19 @@ def test_verify_moments_stdout_pinned(capsys):
     assert digest == "448cda460a8452a79ea779e9041086878dd3ecec17cbc0b3a5436d8de019b532"
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_asymptotics_csv_pinned(tmp_path, monkeypatch, threads):
+    # pins each grid point's derived stream, the batch count in mom_blocks and
+    # the thread-count invariance; like test_symmetric_law_bits_pinned, these
+    # bytes depend on libm's pow
+    monkeypatch.setenv("THREADS", threads)
+    out_csv = tmp_path / "diag.csv"
+    args = ["--alpha", "3.5", "--k", "2,1", "--grid", "64,256", "--reps", "2000", "--seed", "3"]
+    assert main(["asymptotics", *args, "--out-csv", str(out_csv)]) == 0
+    digest = hashlib.sha256(out_csv.read_bytes()).hexdigest()
+    assert digest == "7f736459a7dc10b0f54c2278d3f0a07dfa4eed914fe4ad65206a5e6c10eb2d1c"
+
+
 def test_verify_girko_small(capsys):
     code = main(["verify-girko", "--cases", "4", "--seed", "3"])
     assert code == 0

@@ -68,7 +68,7 @@ def uniform_sphere_table(n: int, exact: bool = True) -> MomentTable:
 
 
 def _diag(w: WeightVector) -> list[list[F]]:
-    n = w.n
+    n = len(w.a)
     return [[w.a[i] if i == j else F(0) for j in range(n)] for i in range(n)]
 
 
@@ -113,7 +113,9 @@ def test_oracle_caps():
     [
         lambda: enumerated_weighted_power((F(1, 9),) * 9, (F(1),) * 9, 2),
         lambda: enumerated_weighted_power((F(1, 3),) * 3, (F(1),) * 3, 7),
-        lambda: enumerated_quadratic_form_moments(np.eye(7, dtype=int), None, (F(1),) * 7),
+        lambda: enumerated_quadratic_form_moments(
+            np.eye(7, dtype=int), np.eye(7, dtype=int), (F(1),) * 7
+        ),
     ],
     ids=["weighted_power_n9", "weighted_power_degree7", "quadratic_form_n7"],
 )
@@ -217,11 +219,13 @@ def test_mc_table_gaussian_values():
     ids=lambda law: law.family,
 )
 @pytest.mark.parametrize("keys", [((4,),), ((4, 2),), ((2, 2, 2, 2), (2,), (8,))], ids=str)
-def test_mc_batches_key_subset_matches_all_keys(law, keys):
+def test_mc_batches_key_subset_matches_all_keys(monkeypatch, law, keys):
     # several chunks per batch and an uneven batch split
+    monkeypatch.setattr(moments, "MC_BATCHES", 5)
+    monkeypatch.setattr(moments, "_MAX_CHUNK_ENTRIES", 100)
     args = (law, 9, 203, RngStream(4, 2))
-    full = mc_moment_batches(*args, batches=5, max_chunk_entries=100)
-    subset = mc_moment_batches(*args, batches=5, max_chunk_entries=100, keys=keys)
+    full = mc_moment_batches(*args)
+    subset = mc_moment_batches(*args, keys=keys)
     assert list(subset) == list(keys)
     for key in keys:
         assert np.array_equal(subset[key], full[key]), key
@@ -234,7 +238,7 @@ MC_LAWS = [
     TailLaw.inverse_gamma(3.5, 2.0),
 ]
 
-# (n, reps, batches, max_chunk_entries).  n = 2000 puts 32 rows in a row
+# (n, reps, MC_BATCHES, _MAX_CHUNK_ENTRIES).  n = 2000 puts 32 rows in a row
 # block (16 for Student-t's two uniforms), so one 70-row chunk is several
 # blocks; 45-row chunks add several chunks per batch and reps % batches = 5;
 # n = 9000 rows are longer than einsum's 8192-element buffer, and 22-row
@@ -253,9 +257,11 @@ def test_mc_batches_bits_match_whole_chunk_loop_at_any_thread_count(monkeypatch,
     n, reps, batches, chunk = shape
     rng = RngStream(12, 3)
     expected = whole_chunk_batches(law, n, reps, rng, batches, chunk)
+    monkeypatch.setattr(moments, "MC_BATCHES", batches)
+    monkeypatch.setattr(moments, "_MAX_CHUNK_ENTRIES", chunk)
     for threads in ("1", "2", "3"):
         monkeypatch.setenv("THREADS", threads)
-        got = mc_moment_batches(law, n, reps, rng, batches=batches, max_chunk_entries=chunk)
+        got = mc_moment_batches(law, n, reps, rng)
         assert list(got) == list(ALL_KEYS)
         for key in ALL_KEYS:
             assert got[key].tobytes() == expected[key].tobytes(), (threads, key)
@@ -265,8 +271,9 @@ def test_mc_batches_bits_match_whole_chunk_loop_at_any_thread_count(monkeypatch,
 def test_mc_batches_zero_row_error_reaches_caller(monkeypatch, threads):
     monkeypatch.setenv("THREADS", threads)
     monkeypatch.setattr(moments, "_transform", lambda law, raw: np.zeros(raw.shape[1:]))
+    monkeypatch.setattr(moments, "MC_BATCHES", 4)
     with pytest.raises(DegenerateInputError, match=r"^zero row encountered in Monte Carlo draw$"):
-        mc_moment_batches(TailLaw.gaussian(), 8, 64, RngStream(5), batches=4)
+        mc_moment_batches(TailLaw.gaussian(), 8, 64, RngStream(5))
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +359,7 @@ def test_binomial_route_matches_direct_expansion():
             t = permutation_oracle(z)
             w = rational_weights(n, rng)
             b2 = t.get(2)
-            diagonal = quadratic_form_moments(_diag(w), None, t)
+            diagonal = quadratic_form_moments(_diag(w), _diag(w), t)
             raw = [
                 1,
                 b2,
@@ -426,7 +433,7 @@ def test_sphere_fourth_moment_vs_monte_carlo():
     predicted = fourth_moment_sphere(w, t)
 
     reps = 200000
-    gen = RngStream(12).generator()
+    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence((12, 0))))
     draws = gen.standard_normal((reps, n))
     y2 = draws**2 / np.einsum("ij,ij->i", draws, draws)[:, None]
     u = y2 @ (n * a) - 1.0
@@ -493,7 +500,7 @@ def test_quadratic_diagonal_matches_weighted_third_moment():
     z = rational_unit_vector(n, rng)
     t = permutation_oracle(z)
     w = rational_weights(n, rng)
-    out = quadratic_form_moments(_diag(w), None, t)
+    out = quadratic_form_moments(_diag(w), _diag(w), t)
     assert out.cross_second == enumerated_weighted_power(w.a, z, 2)
     assert out.third_raw == enumerated_weighted_power(w.a, z, 3)
 
@@ -552,7 +559,7 @@ def test_quadratic_enumeration_identity_is_constant():
 def test_quadratic_enumeration_rejects_shape_mismatch(a_size, b_size):
     z = (F(1), F(-1, 2), F(2, 3))
     a = np.eye(a_size, dtype=int)
-    b = None if b_size is None else np.eye(b_size, dtype=int)
+    b = a if b_size is None else np.eye(b_size, dtype=int)
     with pytest.raises(ParameterDomainError):
         enumerated_quadratic_form_moments(a, b, z)
 
@@ -561,4 +568,4 @@ def test_quadratic_requires_symmetry():
     t = uniform_sphere_table(4)
     bad = [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
     with pytest.raises(ParameterDomainError):
-        quadratic_form_moments(bad, None, t)
+        quadratic_form_moments(bad, bad, t)

@@ -13,6 +13,7 @@ from corrlogdet import (
     TailLaw,
     fill_matrix,
 )
+from corrlogdet import moments
 from corrlogdet.moments import mc_moment_batches
 from corrlogdet.sampling import _BLOCK_DRAWS, _PARAMETERS
 from mc_table import draw
@@ -21,8 +22,9 @@ MASK64 = (1 << 64) - 1
 
 
 def _entries(law, rng, count):
-    """``count`` i.i.d. draws from the stream's root generator."""
-    return draw(law, rng.generator(), (count,))
+    """``count`` i.i.d. draws from a generator seeded by the stream's key."""
+    key = np.random.SeedSequence((rng.master_seed & MASK64, rng.stream_id & MASK64))
+    return draw(law, np.random.Generator(np.random.PCG64(key)), (count,))
 
 
 def _spawned_children(rng, count):
@@ -95,10 +97,12 @@ PINNED_DIGESTS = {
 
 
 @pytest.mark.parametrize("law", ALL_LAWS[:3], ids=lambda law: law.family)
-def test_symmetric_law_bits_pinned(law):
+def test_symmetric_law_bits_pinned(monkeypatch, law):
     fill = fill_matrix(law, 7, 13, RngStream(21, 4)).values
     entries = _entries(law, RngStream(21, 5), 257)
-    batches = mc_moment_batches(law, 6, 40, RngStream(21, 6), batches=4, max_chunk_entries=24)
+    monkeypatch.setattr(moments, "MC_BATCHES", 4)
+    monkeypatch.setattr(moments, "_MAX_CHUNK_ENTRIES", 24)
+    batches = mc_moment_batches(law, 6, 40, RngStream(21, 6))
     digests = (_sha256([fill]), _sha256([entries]), _sha256([batches[k] for k in sorted(batches)]))
     assert digests == PINNED_DIGESTS[law.family]
 
