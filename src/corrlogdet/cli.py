@@ -129,12 +129,9 @@ def _cmd_verify_girko(args) -> int:
 
 def _int_list(option: str, text: str) -> list[int]:
     try:
-        values = [int(tok) for tok in text.split(",") if tok]
+        return [int(tok) for tok in text.split(",")]
     except ValueError:
-        values = []
-    if not values:
-        raise ConfigError(f"{option} takes comma-separated integers, got {text!r}")
-    return values
+        raise ConfigError(f"{option} takes comma-separated integers, got {text!r}") from None
 
 
 def _cmd_asymptotics(args) -> int:

@@ -61,9 +61,8 @@ _MAX_ORACLE_N = 8
 _MAX_ORACLE_DEGREE = 6
 _SPHERE_TOL = 1e-8
 
-# Monte Carlo batches per moment estimate; entries per batch chunk (at least one row)
+# Monte Carlo batches per moment estimate
 MC_BATCHES = 16
-_MAX_CHUNK_ENTRIES = 1 << 23
 
 _LOW_KEYS = ((2,), (4,), (2, 2))
 _DEGREE3_KEYS = ((6,), (4, 2), (2, 2, 2))
@@ -584,58 +583,47 @@ def mc_moment_batches(
     """Batch means of the sphere-moment estimators over ``reps`` rows.
 
     Rows are self-normalized draws ``Y = X / |X|`` with ``X`` i.i.d. from
-    ``law``; batch ``b`` draws its rows, chunk by chunk, from the derived
-    substream ``rng.generator(b)`` through the same per-law sampler as
-    ``fill_matrix``.  Returns, per requested moment key (all of
-    ``ALL_KEYS`` by default), the array of ``MC_BATCHES`` batch means; the
-    draws, and so the means, do not depend on which keys are requested.
+    ``law``; batch ``b`` draws its rows one after another from the derived
+    substream ``rng.generator(b)`` through the same per-law sampler and
+    row-major raw layout as ``fill_matrix``.  Returns, per requested moment
+    key (all of ``ALL_KEYS`` by default), the array of ``MC_BATCHES`` batch
+    means; the draws, and so the means, do not depend on which keys are
+    requested.
 
     The batches run on a thread pool sized by ``resolve_parallelism`` for
-    one batch chunk (``THREADS`` wins).  Each chunk is transformed and
-    estimated in row blocks of at most ``_BLOCK_DRAWS`` raw draws (but at
-    least two rows) into per-row values that are summed once per chunk, so
-    neither the thread count nor the blocks change a bit of the result.
-    Memory in flight is one chunk of raw draws per worker.
+    one batch's rows * n (``THREADS`` wins).  Each batch is drawn,
+    transformed and estimated in row blocks of at most ``_BLOCK_DRAWS`` raw
+    draws (one row when a row is longer) into one per-row array per key,
+    summed once per batch, so neither the thread count nor the block size
+    changes a bit of the result.  Memory in flight per worker is one row
+    block of raw draws and its transform, plus ``reps / MC_BATCHES`` floats
+    per requested key.
     """
     check_batch_shape(n, reps)
-    rows_per_chunk = max(1, _MAX_CHUNK_ENTRIES // n)
-    # einsum sums a row longer than its 8192-element buffer in another order
-    # when the array holds that row alone, so a block has at least two rows
-    # unless its chunk has one: a lone last row joins the block before it
-    block = max(2, _block_rows(law, n))
     base, extra = divmod(reps, MC_BATCHES)
     width = _width(law)
+    block = _block_rows(law, n)
 
     def batch_means(b: int) -> list[float]:
         m_batch = base + (1 if b < extra else 0)
         draw = _raw_sampler(law, rng.generator(b))
-        sums = dict.fromkeys(keys, 0.0)
-        rows = min(rows_per_chunk, m_batch)
-        per_row = {key: np.empty(rows) for key in keys}
-        # one buffer holds every chunk's raw draws: the next chunk's draws
-        # never sit beside the last one's
-        buf = np.empty(width * rows * n)
-        done = 0
-        while done < m_batch:
-            m = min(rows_per_chunk, m_batch - done)
-            raw = buf[: width * m * n].reshape(width, m, n)
+        per_row = {key: np.empty(m_batch) for key in keys}
+        buf = np.empty((min(block, m_batch), width, n))
+        for start in range(0, m_batch, block):
+            stop = min(start + block, m_batch)
+            raw = buf[: stop - start]
             draw(out=raw)
-            for start in range(0, max(m - 1, 1), block):
-                stop = m if start + block >= m - 1 else start + block
-                y2 = _transform(law, raw[:, start:stop])
-                norms_sq = np.einsum("ij,ij->i", y2, y2)
-                if not np.all(norms_sq > 0.0):
-                    raise DegenerateInputError("zero row encountered in Monte Carlo draw")
-                y2 *= y2
-                y2 /= norms_sq[:, None]
-                for key, vals in _row_estimates(y2, n, keys).items():
-                    per_row[key][start:stop] = vals
-            for key in keys:
-                sums[key] += float(per_row[key][:m].sum())
-            done += m
-        return [sums[key] / m_batch for key in keys]
+            y2 = _transform(law, raw.swapaxes(0, 1))
+            y2 *= y2
+            norms_sq = y2.sum(axis=1)
+            if not np.all(norms_sq > 0.0):
+                raise DegenerateInputError("zero row encountered in Monte Carlo draw")
+            y2 /= norms_sq[:, None]
+            for key, vals in _row_estimates(y2, n, keys).items():
+                per_row[key][start:stop] = vals
+        return [float(per_row[key].sum()) / m_batch for key in keys]
 
-    workers = resolve_parallelism(None, min(base + (extra > 0), rows_per_chunk) * n)
+    workers = resolve_parallelism(None, (base + (extra > 0)) * n)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         means = list((pool.map if workers > 1 else map)(batch_means, range(MC_BATCHES)))
     return {key: np.array(column) for key, column in zip(keys, zip(*means))}

@@ -78,7 +78,7 @@ _MASK128 = (1 << 128) - 1
 def resolve_parallelism(requested: int | None, entries: int) -> int:
     """THREADS environment variable wins, then ``requested``, then a default
     set by the CPU count and the ``entries`` of one unit of work (a
-    replication's p * n, or a Monte Carlo batch chunk's rows * n)."""
+    replication's p * n, or a Monte Carlo batch's rows * n)."""
     env = os.environ.get("THREADS")
     if env:
         try:

@@ -1,5 +1,5 @@
 """Monte Carlo sphere-moment table for the tests that check estimated
-moments against exact values and identities, and the whole-chunk serial
+moments against exact values and identities, and the whole-batch serial
 form of ``mc_moment_batches`` that the blocked, threaded one must match
 bit for bit."""
 
@@ -13,33 +13,26 @@ from corrlogdet.sampling import _raw_sampler, _transform, _width
 
 
 def draw(law: TailLaw, gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    """Array of i.i.d. entries of ``law`` with the given shape, drawn from ``gen``."""
-    return _transform(law, _raw_sampler(law, gen)(size=(_width(law),) + shape))
+    """Array of i.i.d. entries of ``law`` with the given shape, drawn from
+    ``gen`` row after row (a row is the last axis), in the row-major raw
+    layout of ``fill_matrix`` and ``mc_moment_batches``."""
+    raw = _raw_sampler(law, gen)(size=shape[:-1] + (_width(law), shape[-1]))
+    return _transform(law, np.moveaxis(raw, -2, 0))
 
 
-def whole_chunk_batches(
-    law: TailLaw, n: int, reps: int, rng: RngStream, batches: int, max_chunk_entries: int
+def whole_batch_means(
+    law: TailLaw, n: int, reps: int, rng: RngStream, batches: int
 ) -> dict[tuple[int, ...], np.ndarray]:
     """``mc_moment_batches`` over ``ALL_KEYS`` as one serial loop: batch
-    after batch, each chunk drawn, normalized and estimated whole."""
-    rows_per_chunk = max(1, max_chunk_entries // n)
+    after batch, each drawn, normalized and estimated whole."""
     out = {key: np.empty(batches) for key in ALL_KEYS}
     base, extra = divmod(reps, batches)
     for b in range(batches):
         m_batch = base + (1 if b < extra else 0)
-        gen = rng.generator(b)
-        sums = dict.fromkeys(ALL_KEYS, 0.0)
-        done = 0
-        while done < m_batch:
-            m = min(rows_per_chunk, m_batch - done)
-            x = draw(law, gen, (m, n))
-            norms_sq = np.einsum("ij,ij->i", x, x)
-            y2 = x * x / norms_sq[:, None]
-            for key, vals in _row_estimates(y2, n, ALL_KEYS).items():
-                sums[key] += float(vals.sum())
-            done += m
-        for key in ALL_KEYS:
-            out[key][b] = sums[key] / m_batch
+        x2 = draw(law, rng.generator(b), (m_batch, n)) ** 2
+        y2 = x2 / x2.sum(axis=1)[:, None]
+        for key, vals in _row_estimates(y2, n, ALL_KEYS).items():
+            out[key][b] = float(vals.sum()) / m_batch
     return out
 
 

@@ -271,7 +271,7 @@ def test_asymptotics_csv_pinned(tmp_path, monkeypatch, threads):
     args = ["--alpha", "3.5", "--k", "2,1", "--grid", "64,256", "--reps", "2000", "--seed", "3"]
     assert main(["asymptotics", *args, "--out-csv", str(out_csv)]) == 0
     digest = hashlib.sha256(out_csv.read_bytes()).hexdigest()
-    assert digest == "7f736459a7dc10b0f54c2278d3f0a07dfa4eed914fe4ad65206a5e6c10eb2d1c"
+    assert digest == "c49bbade8b37b90f802617f9f33ec0340e840a83c0b9232938d253a1c6b20226"
 
 
 def test_verify_girko_small(capsys):
@@ -346,6 +346,9 @@ def test_asymptotics_bad_threads_exit_2(monkeypatch, capsys, threads, k):
         # the unit-exponent path draws nothing, yet its grid is checked
         ["asymptotics", "--alpha", "3.5", "--k", "1", "--grid", "-5"],
         ["asymptotics", "--alpha", "3.5", "--k", "1", "--grid", "64,0"],
+        # an empty entry is not skipped
+        ["asymptotics", "--alpha", "3.5", "--k", "2,,1", "--grid", "64"],
+        ["asymptotics", "--alpha", "3.5", "--k", "2", "--grid", "500,"],
     ],
 )
 def test_bad_counts_and_lists_exit_2(argv, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -26,7 +27,7 @@ from corrlogdet import (
     quadratic_form_moments,
     sphere_identity_residuals,
 )
-from corrlogdet import moments
+from corrlogdet import moments, sampling
 from corrlogdet.moments import (
     ALL_KEYS,
     enumerated_quadratic_form_moments,
@@ -35,7 +36,7 @@ from corrlogdet.moments import (
     rational_unit_vector,
     rational_weights,
 )
-from mc_table import mc_moment_table, whole_chunk_batches
+from mc_table import mc_moment_table, whole_batch_means
 
 
 def _circle_moment(a: int, b: int) -> F:
@@ -220,9 +221,9 @@ def test_mc_table_gaussian_values():
 )
 @pytest.mark.parametrize("keys", [((4,),), ((4, 2),), ((2, 2, 2, 2), (2,), (8,))], ids=str)
 def test_mc_batches_key_subset_matches_all_keys(monkeypatch, law, keys):
-    # several chunks per batch and an uneven batch split
+    # several row blocks per batch and an uneven batch split
     monkeypatch.setattr(moments, "MC_BATCHES", 5)
-    monkeypatch.setattr(moments, "_MAX_CHUNK_ENTRIES", 100)
+    monkeypatch.setattr(sampling, "_BLOCK_DRAWS", 100)
     args = (law, 9, 203, RngStream(4, 2))
     full = mc_moment_batches(*args)
     subset = mc_moment_batches(*args, keys=keys)
@@ -238,33 +239,56 @@ MC_LAWS = [
     TailLaw.inverse_gamma(3.5, 2.0),
 ]
 
-# (n, reps, MC_BATCHES, _MAX_CHUNK_ENTRIES).  n = 2000 puts 32 rows in a row
-# block (16 for Student-t's two uniforms), so one 70-row chunk is several
-# blocks; 45-row chunks add several chunks per batch and reps % batches = 5;
-# n = 9000 rows are longer than einsum's 8192-element buffer, and 22-row
-# chunks leave a lone row after their blocks (7 rows, 3 for Student-t)
-# while the 23-row batch ends in a one-row chunk.
+# (n, reps, MC_BATCHES).  n = 2000 puts 32 rows in a row block (16 for
+# Student-t's two uniforms), so a 70-row batch is several blocks with a
+# partial last one, and reps % batches = 5 splits the batches unevenly;
+# n = 9000 rows are longer than numpy's 8192-element buffer, and the 23-
+# and 22-row batches leave a lone row after their blocks (7 rows, 3 for
+# Student-t); 2**15 + 7 puts one row in a block, longer than a block for
+# Student-t.  Each shape also runs with 500-draw blocks: several rows per
+# block at n = 9, one row per block from n = 2000 on.
 MC_SHAPES = {
-    "row_blocks": (2000, 16 * 70, 16, 1 << 23),
-    "chunks_uneven": (2000, 16 * 70 + 5, 16, 2000 * 45),
-    "long_rows": (9000, 4 * 22 + 1, 4, 9000 * 22),
+    "row_blocks": (2000, 16 * 70, 16),
+    "chunks_uneven": (2000, 16 * 70 + 5, 16),
+    "long_rows": (9000, 4 * 22 + 1, 4),
+    "row_per_block": (2**15 + 7, 2 * 3 + 1, 2),
+    "short_rows": (9, 16 * 300 + 7, 16),
 }
 
 
 @pytest.mark.parametrize("shape", MC_SHAPES.values(), ids=MC_SHAPES.keys())
 @pytest.mark.parametrize("law", MC_LAWS, ids=lambda law: law.family)
 def test_mc_batches_bits_match_whole_chunk_loop_at_any_thread_count(monkeypatch, law, shape):
-    n, reps, batches, chunk = shape
+    # the reference draws, normalizes and estimates each batch whole
+    n, reps, batches = shape
     rng = RngStream(12, 3)
-    expected = whole_chunk_batches(law, n, reps, rng, batches, chunk)
+    expected = whole_batch_means(law, n, reps, rng, batches)
     monkeypatch.setattr(moments, "MC_BATCHES", batches)
-    monkeypatch.setattr(moments, "_MAX_CHUNK_ENTRIES", chunk)
-    for threads in ("1", "2", "3"):
-        monkeypatch.setenv("THREADS", threads)
-        got = mc_moment_batches(law, n, reps, rng)
-        assert list(got) == list(ALL_KEYS)
-        for key in ALL_KEYS:
-            assert got[key].tobytes() == expected[key].tobytes(), (threads, key)
+    for block_draws in (sampling._BLOCK_DRAWS, 500):
+        monkeypatch.setattr(sampling, "_BLOCK_DRAWS", block_draws)
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("THREADS", threads)
+            got = mc_moment_batches(law, n, reps, rng)
+            assert list(got) == list(ALL_KEYS)
+            for key in ALL_KEYS:
+                assert got[key].tobytes() == expected[key].tobytes(), (block_draws, threads, key)
+
+
+@pytest.mark.parametrize(
+    "law", [TailLaw.symmetric_pareto(3.5), TailLaw.student_t(3.5)], ids=lambda law: law.family
+)
+def test_mc_batches_memory_is_row_blocks_not_batches(monkeypatch, law):
+    # a 512-row batch at n = 4096 holds 16.8 MB of raw draws (33.6 MB for
+    # Student-t's two uniforms); a row block holds 0.5 MB.  Measured peaks:
+    # 18.4 and 34.7 MB when a batch was drawn whole, 2.2 and 1.6 MB by blocks
+    monkeypatch.setenv("THREADS", "1")
+    tracemalloc.start()
+    try:
+        mc_moment_batches(law, 4096, 8192, RngStream(8))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 8 * sampling._BLOCK_DRAWS, f"{peak / 1e6:.1f} MB"
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
