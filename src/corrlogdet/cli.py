@@ -6,7 +6,7 @@ Cholesky audit), ``asymptotics`` (scaled-moment convergence diagnostic),
 ``plot`` (re-render an SVG from a saved report).
 
 Exit codes: 0 success, 1 verification failure, 2 invalid configuration or
-arguments, 3 numerical failure beyond the flag budget.
+arguments or out of memory, 3 numerical failure beyond the flag budget.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ def _cmd_simulate(args) -> int:
         overrides["svg_path"] = args.out_svg
     if overrides:
         config = dataclasses.replace(config, **overrides)
-    config.check_outputs()
+    config.check_outputs(args.config)
     report = run_simulation(config)
     written = write_outputs(report, config)
     s = report.summary
@@ -182,6 +182,9 @@ def main(argv=None) -> int:
         return _DISPATCH[args.command](args)
     except (ConfigError, ParameterDomainError, ResourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

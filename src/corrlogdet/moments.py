@@ -10,6 +10,9 @@ and closed-form completions that express every entry of total
 half-degree <= 4 through the pair, triple and quadruple moments plus the
 ``(4,4)`` entry.
 
+The normalizations, the weighted moments and the Monte Carlo estimates
+all read one index-coincidence table, ``_COINCIDENCES``.
+
 On top of the tables sit exact formulas for moments of weighted sums of
 squared coordinates, the zero-sum coefficient decomposition of the fourth
 moment of ``sum a_k (n Z_k^2 - 1)``, and trace formulas for third moments
@@ -64,10 +67,34 @@ _SPHERE_TOL = 1e-8
 # Monte Carlo batches per moment estimate
 MC_BATCHES = 16
 
-_LOW_KEYS = ((2,), (4,), (2, 2))
-_DEGREE3_KEYS = ((6,), (4, 2), (2, 2, 2))
-_DEGREE4_KEYS = ((8,), (6, 2), (4, 4), (4, 2, 2), (2, 2, 2, 2))
-ALL_KEYS = _LOW_KEYS + _DEGREE3_KEYS + _DEGREE4_KEYS
+# Index-coincidence table of the keys of half-degree <= 4.  Grouping the
+# terms of ``(sum_k x_k)^m`` by which indices coincide leaves one term per
+# key of half-degree m: the key's count (the ways to group the m factors
+# into its pattern) times its sum of ``x_i1^k1 * ... * x_ir^kr`` over
+# distinct indices, a polynomial in the power sums ``p(j) = sum_k x_k^j``.
+# ``p(1) = 1`` (weights sum to one, rows lie on the unit sphere) is
+# substituted everywhere but in the lone ``p(1)`` of ``(2,)``.
+_COINCIDENCES = {
+    (2,): (1, lambda p: p(1)),
+    (4,): (1, lambda p: p(2)),
+    (2, 2): (1, lambda p: 1 - p(2)),
+    (6,): (1, lambda p: p(3)),
+    (4, 2): (3, lambda p: p(2) - p(3)),
+    (2, 2, 2): (1, lambda p: 1 - 3 * p(2) + 2 * p(3)),
+    (8,): (1, lambda p: p(4)),
+    (6, 2): (4, lambda p: p(3) - p(4)),
+    (4, 4): (3, lambda p: p(2) * p(2) - p(4)),
+    (4, 2, 2): (6, lambda p: p(2) - p(2) * p(2) - 2 * p(3) + 2 * p(4)),
+    (2, 2, 2, 2): (1, lambda p: 1 - 6 * p(2) + 3 * p(2) * p(2) + 8 * p(3) - 6 * p(4)),
+}
+ALL_KEYS = tuple(_COINCIDENCES)
+# the entries that ``complete_table`` completes a table from
+_BASE_KEYS = ((2, 2), (2, 2, 2), (2, 2, 2, 2), (4, 4))
+
+
+def _patterns(m: int) -> list[tuple]:
+    """The keys of half-degree ``m`` with their counts and polynomials."""
+    return [(key, count, poly) for key, (count, poly) in _COINCIDENCES.items() if sum(key) == 2 * m]
 
 
 def moment_key(*exponents: int) -> tuple[int, ...]:
@@ -123,7 +150,7 @@ def complete_table(partial: MomentTable) -> MomentTable:
     closed form.  After completion the multinomial normalizations hold
     identically.
     """
-    partial.require([(2, 2), (2, 2, 2), (2, 2, 2, 2), (4, 4)])
+    partial.require(_BASE_KEYS)
     n = partial.n
     b22 = partial.get(2, 2)
     b222 = partial.get(2, 2, 2)
@@ -170,36 +197,19 @@ def sphere_identity_residuals(table: MomentTable) -> dict[str, Number]:
     table.require(ALL_KEYS)
     n = table.n
     g = table.get
-    b2, b4, b22 = g(2), g(4), g(2, 2)
-    b6, b42, b222 = g(6), g(4, 2), g(2, 2, 2)
-    b8, b62, b44, b422, b2222 = g(8), g(6, 2), g(4, 4), g(4, 2, 2), g(2, 2, 2, 2)
     filled = complete_table(table).get
-
-    return {
-        "fill_2": b2 - filled(2),
-        "fill_4": b4 - filled(4),
-        "fill_42": b42 - filled(4, 2),
-        "fill_6": b6 - filled(6),
-        "fill_62": b62 - filled(6, 2),
-        "fill_422": b422 - filled(4, 2, 2),
-        "fill_8": b8 - filled(8),
-        "norm_2": n * b4 + n * (n - 1) * b22 - 1,
-        "norm_3": n * b6 + 3 * n * (n - 1) * b42 + n * (n - 1) * (n - 2) * b222 - 1,
-        "norm_4": (
-            n * b8
-            + 4 * n * (n - 1) * b62
-            + 3 * n * (n - 1) * b44
-            + 6 * n * (n - 1) * (n - 2) * b422
-            + n * (n - 1) * (n - 2) * (n - 3) * b2222
-            - 1
-        ),
-        "lift_2": b2 - (b4 + (n - 1) * b22),
-        "lift_4": b4 - (b6 + (n - 1) * b42),
-        "lift_6": b6 - (b8 + (n - 1) * b62),
-        "lift_22": b22 - (b42 + b42 + (n - 2) * b222),
-        "lift_42": b42 - (b62 + b44 + (n - 2) * b422),
-        "lift_222": b222 - (3 * b422 + (n - 3) * b2222),
-    }
+    names = {key: "".join(map(str, key)) for key in ALL_KEYS}
+    residuals = {f"fill_{names[k]}": g(*k) - filled(*k) for k in ALL_KEYS if k not in _BASE_KEYS}
+    for m in (2, 3, 4):
+        # unit weights: the distinct-index sum of a key with r indices is n!/(n-r)!
+        unit_sum = sum(count * math.perm(n, len(key)) * g(*key) for key, count, _ in _patterns(m))
+        residuals[f"norm_{m}"] = unit_sum - 1
+    for key in ALL_KEYS:
+        if sum(key) <= 6:
+            # b_K = sum_i b_(K with e_i + 2) + (n - |K|) b_(K, 2)
+            raised = sum(g(*key[:i], e + 2, *key[i + 1 :]) for i, e in enumerate(key))
+            residuals[f"lift_{names[key]}"] = g(*key) - (raised + (n - len(key)) * g(*key, 2))
+    return residuals
 
 
 @dataclass(frozen=True)
@@ -268,17 +278,16 @@ def k_coefficients(s2: Number, s3: Number, s4: Number, n: int) -> KCoefficients:
     return KCoefficients(constant, c44, c22, c222, c2222)
 
 
+def _weighted_moment(w: WeightVector, t: MomentTable, m: int) -> Number:
+    """``E[(sum a_k Z_k^2)^m]`` for exchangeable Z, one term per index
+    coincidence pattern of half-degree ``m``."""
+    p = {1: 1, 2: w.s2, 3: w.s3, 4: w.s4}.__getitem__
+    return sum(count * poly(p) * t.get(*key) for key, count, poly in _patterns(m))
+
+
 def fourth_moment_raw(w: WeightVector, t: MomentTable) -> Number:
     """``E[(sum a_k Z_k^2)^4]``, expanded over index coincidence patterns."""
-    t.require(_DEGREE4_KEYS)
-    s2, s3, s4 = w.s2, w.s3, w.s4
-    return (
-        w.s4 * t.get(8)
-        + 4 * (s3 - s4) * t.get(6, 2)
-        + 6 * (s2 - s2 * s2 - 2 * s3 + 2 * s4) * t.get(4, 2, 2)
-        + 3 * (s2 * s2 - s4) * t.get(4, 4)
-        + (1 - 6 * s2 + 3 * s2 * s2 + 8 * s3 - 6 * s4) * t.get(2, 2, 2, 2)
-    )
+    return _weighted_moment(w, t, 4)
 
 
 def fourth_moment_centered(w: WeightVector, t: MomentTable) -> Number:
@@ -290,11 +299,9 @@ def fourth_moment_centered(w: WeightVector, t: MomentTable) -> Number:
     sphere constraint.
     """
     t.require(ALL_KEYS)
-    s2, s3 = w.s2, w.s3
     c = t.get(2)
-    es2 = s2 * t.get(4) + (1 - s2) * t.get(2, 2)
-    es3 = s3 * t.get(6) + 3 * (s2 - s3) * t.get(4, 2) + (1 - 3 * s2 + 2 * s3) * t.get(2, 2, 2)
-    return fourth_moment_raw(w, t) - 4 * c * es3 + 6 * c * c * es2 - 3 * c**4
+    es2, es3, es4 = (_weighted_moment(w, t, m) for m in (2, 3, 4))
+    return es4 - 4 * c * es3 + 6 * c * c * es2 - 3 * c**4
 
 
 def fourth_moment_sphere(w: WeightVector, t: MomentTable) -> Number:
@@ -363,23 +370,21 @@ def quadratic_form_moments(
     tr_ada2 = (diag_a * np.diag(a2)).sum()
     tr_adada = (diag_a * diag_a * diag_a).sum()
 
-    third_central = (
-        8 * b222 * tr_a3
-        + (b222 + 2 * b2**3 - 3 * b2 * b22) * tr_a**3
-        + 6 * (b222 - b2 * b22) * tr_a * tr_a2
-        + 3 * (b42 - b4 * b2 + 3 * b22 * b2 - 3 * b222) * tr_a * tr_ada
-        + 12 * (b42 - 3 * b222) * tr_ada2
-        + (b6 - 15 * b42 + 30 * b222) * tr_adada
-    )
     third_raw = (
         b222 * (tr_a**3 + 6 * tr_a * tr_a2 + 8 * tr_a3)
         + (b6 - 15 * b42 + 30 * b222) * tr_adada
         + (b42 - 3 * b222) * (3 * tr_a * tr_ada + 12 * tr_ada2)
     )
-    tr_ab = (a * b).sum()
-    tr_adb = (np.diag(a) * np.diag(b)).sum()
-    cross_second = b22 * (tr_a * b.diagonal().sum() + 2 * tr_ab) + (b4 - 3 * b22) * tr_adb
-    return QuadraticFormMoments(third_central, third_raw, cross_second)
+
+    def cross(c: np.ndarray) -> Number:
+        """``E[z' A z * z' C z]``"""
+        tr_ac = (a * c).sum()
+        tr_adc = (diag_a * np.diag(c)).sum()
+        return b22 * (tr_a * c.diagonal().sum() + 2 * tr_ac) + (b4 - 3 * b22) * tr_adc
+
+    m1 = b2 * tr_a
+    third_central = third_raw - 3 * cross(a) * m1 + 2 * m1**3
+    return QuadraticFormMoments(third_central, third_raw, cross(b))
 
 
 def _common_denominator(values: Iterable[Number]) -> tuple[list[int], int]:
@@ -532,36 +537,23 @@ def _row_estimates(
     """Per-row unbiased estimates of the requested half-degree <= 4 moments.
 
     Averages the monomial over all distinct index tuples of one
-    exchangeable row; with ``p_j = sum_k Y_k^(2j)`` (and ``p_1 = 1`` by the
-    sphere constraint) each estimate is a polynomial in the power sums.
-    Only the power sums that the requested estimates use are formed.
+    exchangeable row: the key's ``_COINCIDENCES`` polynomial in
+    ``p(j) = sum_k Y_k^(2j)`` (``p(1) = 1`` by the sphere constraint),
+    divided by the number of tuples.  Only the power sums that the
+    requested estimates use are formed.
     """
     y4 = y2 * y2
     factor = {3: y2, 4: y4}
 
     @functools.cache
     def p(j: int) -> np.ndarray:
+        if j == 1:
+            return np.ones(y2.shape[0])
         return (y4 * factor[j] if j > 2 else y4).sum(axis=1)
 
-    d2 = float(n * (n - 1))
-    d3 = d2 * (n - 2)
-    d4 = d3 * (n - 3)
-    formulas = {
-        (2,): lambda: np.ones(y2.shape[0]) / n,
-        (4,): lambda: p(2) / n,
-        (6,): lambda: p(3) / n,
-        (8,): lambda: p(4) / n,
-        (2, 2): lambda: (1.0 - p(2)) / d2,
-        (4, 2): lambda: (p(2) - p(3)) / d2,
-        (6, 2): lambda: (p(3) - p(4)) / d2,
-        (4, 4): lambda: (p(2) * p(2) - p(4)) / d2,
-        (2, 2, 2): lambda: (1.0 - 3.0 * p(2) + 2.0 * p(3)) / d3,
-        (4, 2, 2): lambda: (p(2) - p(2) * p(2) - 2.0 * p(3) + 2.0 * p(4)) / d3,
-        (2, 2, 2, 2): lambda: (
-            1.0 - 6.0 * p(2) + 3.0 * p(2) * p(2) + 8.0 * p(3) - 6.0 * p(4)
-        ) / d4,
-    }
-    return {key: formulas[key]() for key in keys}
+    # n (n - 1) ... (n - r + 1) for r index slots, rounded once per factor
+    divisor = list(itertools.accumulate(range(n, n - 4, -1), operator.mul, initial=1.0))
+    return {key: _COINCIDENCES[key][1](p) / divisor[len(key)] for key in keys}
 
 
 def check_batch_shape(n: int, reps: int) -> None:

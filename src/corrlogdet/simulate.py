@@ -74,10 +74,12 @@ class ExperimentConfig:
             if path is not None and not isinstance(path, str):
                 raise ConfigError(f"outputs.{key} must be a path string, got {path!r}")
 
-    def check_outputs(self) -> None:
-        """Check the output paths against the file system, as
+    def check_outputs(self, config_path: str) -> None:
+        """Check the output paths against the file system and against the
+        config file at ``config_path``, which they must not overwrite, as
         :func:`check_output_paths` does, before the run starts."""
-        check_output_paths({f"outputs.{key}": getattr(self, key) for key in _OUTPUTS})
+        outputs = {f"outputs.{key}": getattr(self, key) for key in _OUTPUTS}
+        check_output_paths({"--config": config_path, **outputs})
 
     def to_dict(self) -> dict:
         out: dict[str, Any] = {
@@ -125,7 +127,7 @@ class ExperimentConfig:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         return cls.from_dict(raw)
 

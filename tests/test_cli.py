@@ -110,8 +110,15 @@ def test_simulate_bad_values_exit_2_before_running(tmp_path, config_file, capsys
         ({"--out-csv": "out.txt", "--out-json": "out.txt"}, "outputs.csv_path and outputs.json_path"),
         ({"--out-csv": "a.txt", "--out-svg": "./a.txt"}, "outputs.csv_path and outputs.svg_path"),
         ({"--out-json": "a.txt", "--out-svg": "link/a.txt"}, "outputs.json_path and outputs.svg_path"),
+        ({"--out-json": "cfg.json"}, "--config and outputs.json_path name the same file"),
+        ({"--out-csv": "./cfg.json"}, "--config and outputs.csv_path name the same file"),
+        ({"--out-svg": "link/cfg.json"}, "--config and outputs.svg_path name the same file"),
+        ({"json_path": "cfg.json"}, "--config and outputs.json_path name the same file"),
     ],
-    ids=["csv-dir", "json-dir", "svg-dir-is-file", "csv-json", "csv-svg-dot", "json-svg-symlink"],
+    ids=[
+        "csv-dir", "json-dir", "svg-dir-is-file", "csv-json", "csv-svg-dot", "json-svg-symlink",
+        "json-is-config", "csv-is-config-dot", "svg-is-config-symlink", "config-outputs-name-config",
+    ],
 )
 def test_simulate_bad_outputs_exit_2_before_running(
     tmp_path, config_file, capsys, monkeypatch, outputs, message
@@ -121,15 +128,43 @@ def test_simulate_bad_outputs_exit_2_before_running(
 
     monkeypatch.setattr("corrlogdet.cli.run_simulation", must_not_run)
     (tmp_path / "link").symlink_to(tmp_path)
+    raw = json.loads(config_file.read_text())
     argv = ["simulate", "--config", str(config_file)]
     for option, name in outputs.items():
-        argv += [option, os.path.join(tmp_path, name)]  # keeps "./" as spelled
+        path = os.path.join(tmp_path, name)  # keeps "./" as spelled
+        if option.startswith("--"):
+            argv += [option, path]
+        else:  # an output named in the config itself
+            raw.setdefault("outputs", {})[option] = path
+    config_file.write_text(json.dumps(raw))
+    config_text = config_file.read_text()
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert message.format(tmp=tmp_path) in captured.err
     assert sorted(os.listdir(tmp_path)) == ["cfg.json", "link"]
+    assert config_file.read_text() == config_text
+
+
+@pytest.mark.parametrize(
+    "target, argv",
+    [
+        ("run_simulation", ["simulate", "--config", "{cfg}"]),
+        ("convergence_diagnostic", ["asymptotics", "--alpha", "3.5", "--grid", "500"]),
+    ],
+    ids=["simulate", "asymptotics"],
+)
+def test_out_of_memory_exits_2(config_file, capsys, monkeypatch, target, argv):
+    # raised, not allocated: with memory overcommit a huge array can succeed
+    message = "Unable to allocate 72.8 TiB for an array with shape (10000000000000,)"
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(f"corrlogdet.cli.{target}", no_memory)
+    assert main([a.format(cfg=config_file) for a in argv]) == 2
+    assert capsys.readouterr().err == f"error: out of memory: {message}\n"
 
 
 def test_config_output_replaced_by_an_override_is_not_checked(tmp_path, config_file, capsys):

@@ -199,6 +199,35 @@ def test_residuals_flag_bad_table():
     assert any(v != 0 for v in res.values())
 
 
+# exact residuals of a table with random entries, recorded when each identity
+# was still written out by hand: on a consistent table every residual is 0,
+# which cannot tell one identity from another
+PINNED_RESIDUALS = {
+    "fill_2": F(-49, 456),
+    "fill_4": F(589, 1056),
+    "fill_42": F(2934387, 2782912),
+    "fill_422": F(1856, 52059),
+    "fill_6": F(-88187711, 18537024),
+    "fill_62": F(941153663, 496914880),
+    "fill_8": F(-1598549303, 126539952),
+    "lift_2": F(-4449, 6688),
+    "lift_22": F(-2934387, 1391456),
+    "lift_222": F(-1856, 17353),
+    "lift_4": F(5317, 123664),
+    "lift_42": F(-67763609, 68993715),
+    "lift_6": F(-1967126, 1233627),
+    "norm_2": F(589, 176),
+    "norm_3": F(34361183, 517843),
+    "norm_4": F(1008173281, 5691007),
+}
+
+
+def test_residuals_pinned_on_inconsistent_table():
+    rng = np.random.default_rng(31)
+    draws = {key: F(int(rng.integers(1, 50)), int(rng.integers(50, 500))) for key in ALL_KEYS}
+    assert sphere_identity_residuals(MomentTable(n=6, moments=draws)) == PINNED_RESIDUALS
+
+
 def test_mc_table_satisfies_identities_structurally():
     tab, _ = mc_moment_table(TailLaw.student_t(3.5), n=12, reps=5000, rng=RngStream(1))
     worst = max(abs(float(v)) for v in sphere_identity_residuals(tab).values())
@@ -314,41 +343,19 @@ def test_weight_vector_requires_unit_sum():
 
 
 def test_coefficient_reductions():
-    # sums of weight products over distinct indices reduce to power sums
+    # each key's sum of weight products over distinct indices, brute-forced,
+    # equals its polynomial in the power sums
     rng = np.random.default_rng(5)
     n = 7
-    a = rng.uniform(0.01, 1.0, size=n)
-    a /= a.sum()
-    w = WeightVector(tuple(float(v) for v in a))
-    idx = range(n)
-    kl = sum(a[k] * a[l] for k in idx for l in idx if k != l)
-    kkl = sum(a[k] ** 2 * a[l] for k in idx for l in idx if k != l)
-    kkkl = sum(a[k] ** 3 * a[l] for k in idx for l in idx if k != l)
-    kkll = sum(a[k] ** 2 * a[l] ** 2 for k in idx for l in idx if k != l)
-    assert kl == pytest.approx(1 - w.s2, abs=1e-12)
-    assert kkl == pytest.approx(w.s2 - w.s3, abs=1e-12)
-    assert kkkl == pytest.approx(w.s3 - w.s4, abs=1e-12)
-    assert kkll == pytest.approx(w.s2**2 - w.s4, abs=1e-12)
-
-    distinct3 = [
-        (k, l, j) for k in idx for l in idx for j in idx if len({k, l, j}) == 3
-    ]
-    kklj = sum(a[k] ** 2 * a[l] * a[j] for k, l, j in distinct3)
-    klj = sum(a[k] * a[l] * a[j] for k, l, j in distinct3)
-    assert kklj == pytest.approx(w.s2 - w.s2**2 - 2 * w.s3 + 2 * w.s4, abs=1e-12)
-    assert klj == pytest.approx(1 - 3 * w.s2 + 2 * w.s3, abs=1e-12)
-
-    kljh = sum(
-        a[k] * a[l] * a[j] * a[h]
-        for k in idx
-        for l in idx
-        for j in idx
-        for h in idx
-        if len({k, l, j, h}) == 4
-    )
-    assert kljh == pytest.approx(
-        1 - 6 * w.s2 + 3 * w.s2**2 + 8 * w.s3 - 6 * w.s4, abs=1e-12
-    )
+    w = rational_weights(n, rng)
+    p = {1: 1, 2: w.s2, 3: w.s3, 4: w.s4}.__getitem__
+    for key, (_, poly) in moments._COINCIDENCES.items():
+        halves = [e // 2 for e in key]
+        brute = sum(
+            math.prod(w.a[i] ** k for i, k in zip(idx, halves))
+            for idx in itertools.permutations(range(n), len(key))
+        )
+        assert brute == poly(p), key
 
 
 def test_centered_single_weight_reduces_to_binomial():

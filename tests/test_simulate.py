@@ -28,6 +28,7 @@ from corrlogdet import (
     run_simulation,
     statistics_csv,
 )
+from corrlogdet.cli import main
 
 
 def _config(**overrides):
@@ -120,11 +121,14 @@ def test_eight_reps_is_enough():
     assert report.n_flagged == 0
 
 
-def test_config_bad_file(tmp_path):
+def test_config_bad_file(tmp_path, capsys):
     path = tmp_path / "cfg.json"
-    path.write_text("{not json")
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_json_file(path)
+    for content in (b"{not json", b"\xff\xfe\x00bad"):  # not JSON, not UTF-8
+        path.write_bytes(content)
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_json_file(path)
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read config {path}: ")
 
 
 def test_run_simulation_basic():

@@ -1,0 +1,63 @@
+"""Print the SHA-256 of the stdout of a fixed list of CLI runs.
+
+Each command runs as ``python -m corrlogdet.cli ...`` against the ``src/``
+of the checkout this script sits in, in a fresh temporary directory.  Run
+it on two checkouts and diff the output to show that a change keeps every
+byte of these outputs::
+
+    python tools/output_digests.py > after.txt
+
+Prints one ``name sha256`` line per command; exits 1 if a command exits
+non-zero.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+_T_KS = ("2", "1,1", "2,1", "3", "2,2", "4", "3,1", "2,1,1", "1,1,1,1", "1,1,1")
+
+COMMANDS = [
+    ("verify-moments-n4", ["verify-moments", "--nmax", "4", "--vectors", "6", "--trials", "3"]),
+    ("verify-moments-default", ["verify-moments"]),
+    ("verify-moments-n8", ["verify-moments", "--nmax", "8", "--vectors", "3", "--trials", "2"]),
+    (
+        "asymptotics-pareto-k2",
+        ["asymptotics", "--alpha", "3.5", "--k", "2", "--grid", "500,2000",
+         "--reps", "10000", "--seed", "7"],
+    ),
+] + [
+    (
+        f"asymptotics-t-k{k}",
+        ["asymptotics", "--alpha", "3.5", "--law", "student_t", "--k", k,
+         "--grid", "64,300", "--reps", "4000", "--seed", "3"],
+    )
+    for k in _T_KS
+]
+
+
+def main() -> int:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    status = 0
+    with tempfile.TemporaryDirectory() as work:
+        for name, args in COMMANDS:
+            run = subprocess.run(
+                [sys.executable, "-m", "corrlogdet.cli", *args],
+                cwd=work, env=env, capture_output=True, check=False,
+            )
+            if run.returncode != 0:
+                sys.stderr.write(f"{name}: exit {run.returncode}\n{run.stderr.decode()}")
+                status = 1
+            print(name, hashlib.sha256(run.stdout).hexdigest(), flush=True)
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())
