@@ -7,8 +7,14 @@ Two standardizations are provided.  For the correlation matrix,
                                 sigma^2 = -2 log(1 - p/n) - 2 p/n,
 
 with no dependence on the entry distribution's fourth moment.  For the
-covariance matrix the centering and variance pick up fourth-moment
-corrections.
+covariance matrix S = X X'/n of variance-one entries, with beta = E X^4 - 3,
+
+    mu = (p - n + 1/2) log(1 - p/n) - p - beta p / (2n),
+    sigma^2 = -2 log(1 - p/n) + beta p/n
+
+(Bai & Silverstein, Ann. Probab. 32, 2004, for f = log, with the beta terms
+of their book, 2nd ed., 2010, ch. 9; at p = 1, E log S = -(2 + beta)/(2n)
+to leading order fixes the sign of the beta term).
 """
 
 from __future__ import annotations
@@ -54,7 +60,7 @@ def standardize_cov(logdet_s: np.ndarray, p: int, n: int, fourth_moment: float) 
         raise ParameterDomainError("fourth moment must be >= 1 for unit-variance entries")
     ratio = p / n
     excess = fourth_moment - 3.0
-    centering = (p - n + 0.5) * math.log1p(-ratio) - p + 0.5 * excess * ratio
+    centering = (p - n + 0.5) * math.log1p(-ratio) - p - 0.5 * excess * ratio
     variance = -2.0 * math.log1p(-ratio) + excess * ratio
     if not variance > 0.0:
         raise ParameterDomainError(

@@ -61,7 +61,7 @@ _BLOCK_DRAWS = 1 << 16
 # Threads hand the interpreter lock over at every per-row draw or row
 # block.  On 2 CPUs that CPU cost is small beside a work unit's native work
 # only from about this many entries (1 -> 2 replication workers: Gaussian
-# 100x400 CPU +31% for wall -14%, t(3.5) 500x1000 CPU +2% for wall -39%).
+# 100x400 CPU +75% and wall +20%, t(3.5) 500x1000 CPU +9% for wall -35%).
 # With 4 or more CPUs every size keeps min(8, cpus) workers: smaller units
 # were never measured there.
 _THREADED_ENTRIES = 1 << 18

@@ -9,11 +9,11 @@ statistics CSV is byte-identical across thread counts.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
 import stat
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -227,28 +227,16 @@ def kde_curve(x: np.ndarray) -> dict:
     }
 
 
-def _replication_worker(config: ExperimentConfig, scale: float, workers: int):
-    law, p, n = config.law, config.p, config.n
-    # At most workers - 1 replications form and factor their Gram matrix at
-    # once, while sampling runs on every worker: two Gram stages at a time
-    # keep two p-by-p matrices and two BLAS packing buffers resident.  Only
-    # measured at 2 workers, where this is a plain lock.
-    gram_stage = threading.BoundedSemaphore(max(1, workers - 1))
-
-    def run(rep: int) -> tuple[float, int | None]:
-        """log det and, on a failed Cholesky, its pivot."""
-        stream = RngStream(config.seed, rep)
-        x = fill_matrix(law, p, n, stream)
-        try:
-            with gram_stage:
-                if config.statistic == "corr_logdet":
-                    return log_det_spd(sample_correlation(x)), None
-                np.divide(x.values, scale, out=x.values)
-                return log_det_spd(sample_covariance(x)), None
-        except NotPositiveDefiniteError as exc:
-            return math.nan, exc.pivot
-
-    return run
+def _replicate(config: ExperimentConfig, scale: float, rep: int) -> tuple[float, int | None]:
+    """One replication's log det and, on a failed Cholesky, its pivot."""
+    x = fill_matrix(config.law, config.p, config.n, RngStream(config.seed, rep))
+    try:
+        if config.statistic == "corr_logdet":
+            return log_det_spd(sample_correlation(x)), None
+        np.divide(x.values, scale, out=x.values)
+        return log_det_spd(sample_covariance(x)), None
+    except NotPositiveDefiniteError as exc:
+        return math.nan, exc.pivot
 
 
 def run_simulation(config: ExperimentConfig) -> ExperimentReport:
@@ -266,7 +254,7 @@ def run_simulation(config: ExperimentConfig) -> ExperimentReport:
             raise ConfigError("cov_logdet needs a finite fourth moment")
 
     workers = resolve_parallelism(config.parallelism, config.p * config.n)
-    worker = _replication_worker(config, scale, workers)
+    replicate = functools.partial(_replicate, config, scale)
     logdets = np.empty(config.reps)
     flagged = np.zeros(config.reps, dtype=bool)
     flags = []
@@ -278,7 +266,7 @@ def run_simulation(config: ExperimentConfig) -> ExperimentReport:
     start = time.perf_counter()
     with single_blas_thread() as blas_threads, ThreadPoolExecutor(max_workers=workers) as pool:
         reps = range(config.reps)
-        results = pool.map(worker, reps) if workers > 1 else map(worker, reps)
+        results = pool.map(replicate, reps) if workers > 1 else map(replicate, reps)
         for rep, (logdet, pivot) in enumerate(results):
             logdets[rep] = logdet
             if pivot is not None:
@@ -332,9 +320,10 @@ def statistics_csv(report: ExperimentReport) -> str:
 
 def check_output_paths(paths: dict[str, str | None]) -> None:
     """Reject, before any work is done, an output whose directory does not
-    exist and two outputs that resolve to the same file.  ``paths`` maps
-    the name each output goes by in messages to its path, or to ``None``."""
-    names: dict[str, str] = {}
+    exist and two outputs that are one file: one path once symlinks are
+    resolved, or one device and inode (hard links).  ``paths`` maps the
+    name each output goes by in messages to its path, or to ``None``."""
+    names: dict[object, str] = {}
     for name, path in paths.items():
         if not path:
             continue
@@ -342,9 +331,11 @@ def check_output_paths(paths: dict[str, str | None]) -> None:
         if not os.path.isdir(directory):
             raise ConfigError(f"cannot write {path}: {directory} is not a directory")
         real = os.path.realpath(path)
-        if real in names:
-            raise ConfigError(f"{names[real]} and {name} name the same file {real}")
-        names[real] = name
+        info = os.stat(real) if os.path.exists(real) else None
+        key = (info.st_dev, info.st_ino) if info else real
+        if key in names:
+            raise ConfigError(f"{names[key]} and {name} name the same file {real}")
+        names[key] = name
 
 
 def write_text(path: str, text: str) -> None:

@@ -114,10 +114,13 @@ def test_simulate_bad_values_exit_2_before_running(tmp_path, config_file, capsys
         ({"--out-csv": "./cfg.json"}, "--config and outputs.csv_path name the same file"),
         ({"--out-svg": "link/cfg.json"}, "--config and outputs.svg_path name the same file"),
         ({"json_path": "cfg.json"}, "--config and outputs.json_path name the same file"),
+        ({"--out-json": "hard.json"}, "--config and outputs.json_path name the same file"),
+        ({"--out-csv": "old.csv", "--out-json": "hard.csv"}, "outputs.csv_path and outputs.json_path"),
     ],
     ids=[
         "csv-dir", "json-dir", "svg-dir-is-file", "csv-json", "csv-svg-dot", "json-svg-symlink",
         "json-is-config", "csv-is-config-dot", "svg-is-config-symlink", "config-outputs-name-config",
+        "json-is-config-hard-link", "csv-json-hard-link",
     ],
 )
 def test_simulate_bad_outputs_exit_2_before_running(
@@ -128,6 +131,9 @@ def test_simulate_bad_outputs_exit_2_before_running(
 
     monkeypatch.setattr("corrlogdet.cli.run_simulation", must_not_run)
     (tmp_path / "link").symlink_to(tmp_path)
+    os.link(config_file, tmp_path / "hard.json")
+    (tmp_path / "old.csv").write_text("previous output\n")
+    os.link(tmp_path / "old.csv", tmp_path / "hard.csv")
     raw = json.loads(config_file.read_text())
     argv = ["simulate", "--config", str(config_file)]
     for option, name in outputs.items():
@@ -143,8 +149,9 @@ def test_simulate_bad_outputs_exit_2_before_running(
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert message.format(tmp=tmp_path) in captured.err
-    assert sorted(os.listdir(tmp_path)) == ["cfg.json", "link"]
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json", "hard.csv", "hard.json", "link", "old.csv"]
     assert config_file.read_text() == config_text
+    assert (tmp_path / "old.csv").read_text() == "previous output\n"
 
 
 @pytest.mark.parametrize(

@@ -50,6 +50,17 @@ def test_standardize_cov_gaussian_reduction():
     assert -2.0 * math.log1p(-ratio) == pytest.approx(sigma2 + 2.0 * ratio)
 
 
+def test_standardize_cov_fourth_moment_terms():
+    # fourth moment 4 (beta = 1) at p = 100, n = 400, by hand:
+    # mu = (p - n + 1/2) log(3/4) - p - beta p/(2n) = -299.5 log(3/4) - 100.125
+    #    = -13.964219300691612,
+    # sigma^2 = -2 log(3/4) + beta p/n = 0.8253641449035619
+    p, n = 100, 400
+    assert standardize_cov(-13.964219300691612, p, n, 4.0) == pytest.approx(0.0, abs=1e-12)
+    # -mu / sigma
+    assert standardize_cov(0.0, p, n, 4.0) == pytest.approx(15.370707611462597, rel=1e-12)
+
+
 def test_standardize_cov_guards():
     with pytest.raises(ParameterDomainError):
         standardize_cov(0.0, 100, 400, 0.5)
@@ -133,6 +144,26 @@ def test_summary_moments_skewed_law():
     s = summary_moments(x)
     assert s.skewness == pytest.approx(2.0, abs=0.15)
     assert s.excess_kurtosis == pytest.approx(6.0, abs=1.0)
+
+
+def test_summary_moments_kurtosis_is_the_unbiased_estimator():
+    x = np.array([0.3, -1.2, 2.5, 0.1, -0.4, 1.7, -2.2, 0.9, 3.1, -0.6])
+    s = summary_moments(x)
+    assert s.skewness == pytest.approx(stats.skew(x, bias=False), abs=1e-12)
+    assert s.excess_kurtosis == pytest.approx(stats.kurtosis(x, bias=False), abs=1e-12)
+
+
+@pytest.mark.parametrize("m", [64, 200])
+def test_summary_moments_standard_errors_come_from_array_split_batches(m):
+    x = np.random.default_rng(m).standard_t(5.0, size=m)
+    batches = np.array_split(x, max(2, min(16, m // 4)))
+    per_batch = np.array(
+        [(b.mean(), b.var(ddof=1), stats.skew(b, bias=False), stats.kurtosis(b, bias=False)) for b in batches]
+    )
+    expected = np.std(per_batch, axis=0, ddof=1) / math.sqrt(len(batches))
+    s = summary_moments(x)
+    got = [s.se_mean, s.se_variance, s.se_skewness, s.se_kurtosis]
+    np.testing.assert_allclose(got, expected, rtol=1e-10)
 
 
 def test_summary_moments_needs_samples():

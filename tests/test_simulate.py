@@ -6,8 +6,6 @@ import math
 import os
 import subprocess
 import sys
-import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -186,47 +184,12 @@ def test_auto_threads_at_large_size_keep_csv_bytes(monkeypatch):
     assert statistics_csv(threaded) == statistics_csv(serial)
 
 
-@pytest.mark.parametrize("workers", [2, 4])
-def test_gram_stage_admits_one_replication_less_than_workers(monkeypatch, workers):
-    real = sim.sample_correlation
-    lock = threading.Lock()
-    active = {"now": 0, "max": 0}
-
-    def slow(x):
-        with lock:
-            active["now"] += 1
-            active["max"] = max(active["max"], active["now"])
-        try:
-            time.sleep(0.01)
-            return real(x)
-        finally:
-            with lock:
-                active["now"] -= 1
-
-    monkeypatch.delenv("THREADS", raising=False)
-    monkeypatch.setattr(sim, "sample_correlation", slow)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        report = run_simulation(_config(reps=64, parallelism=workers))
-    finally:
-        sys.setswitchinterval(interval)
-    assert report.timing["threads"] == workers
-    assert active["now"] == 0
-    # overlap depends on scheduling; the cap itself is the upper bound
-    assert 1 <= active["max"] <= workers - 1
-    if workers > 2:
-        assert active["max"] > 1
-    monkeypatch.setattr(sim, "sample_correlation", real)
-    assert statistics_csv(report) == statistics_csv(run_simulation(_config(reps=64, parallelism=1)))
-
-
 def test_corr_replication_memory_is_x_plus_r():
     p, n = 500, 1000
-    run = sim._replication_worker(_config(law=TailLaw.student_t(3.5), p=p, n=n), 1.0, 1)
+    cfg = _config(law=TailLaw.student_t(3.5), p=p, n=n)
     tracemalloc.start()
     try:
-        run(0)
+        sim._replicate(cfg, 1.0, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -272,6 +235,18 @@ def test_covariance_statistic_runs():
     report = run_simulation(_config(statistic="cov_logdet", p=20, n=80, reps=300))
     assert report.n_flagged == 0
     assert abs(report.summary.mean) < 0.5
+
+
+def test_non_gaussian_covariance_run_is_centred():
+    # t(10) has fourth moment 4 (beta = 1), so the centering's -beta p/(2n)
+    # term is 11 standard errors of the mean here
+    law = TailLaw.student_t(10.0)
+    cfg = _config(law=law, statistic="cov_logdet", p=100, n=400, reps=2000, seed=10)
+    report = run_simulation(cfg)
+    assert law.standardized_fourth_moment() == 4.0
+    assert report.n_flagged == 0
+    se = math.sqrt(report.summary.variance / cfg.reps)
+    assert abs(report.summary.mean) < 4.0 * se
 
 
 @pytest.mark.parametrize(
