@@ -50,10 +50,9 @@ from .errors import (
 from .sampling import (
     RngStream,
     TailLaw,
-    _block_rows,
     _raw_sampler,
+    _row_blocks,
     _transform,
-    _width,
     resolve_parallelism,
 )
 
@@ -577,42 +576,36 @@ def mc_moment_batches(
     Rows are self-normalized draws ``Y = X / |X|`` with ``X`` i.i.d. from
     ``law``; batch ``b`` draws its rows one after another from the derived
     substream ``rng.generator(b)`` through the same per-law sampler and
-    row-major raw layout as ``fill_matrix``.  Returns, per requested moment
-    key (all of ``ALL_KEYS`` by default), the array of ``MC_BATCHES`` batch
-    means; the draws, and so the means, do not depend on which keys are
-    requested.
+    row blocks (``_row_blocks``) as ``fill_matrix``.  Returns, per
+    requested moment key (all of ``ALL_KEYS`` by default), the array of
+    ``MC_BATCHES`` batch means; the draws, and so the means, do not depend
+    on which keys are requested.
 
     The batches run on a thread pool sized by ``resolve_parallelism`` for
     one batch's rows * n (``THREADS`` wins).  Each batch is drawn,
-    transformed and estimated in row blocks of at most ``_BLOCK_DRAWS`` raw
-    draws (one row when a row is longer) into one per-row array per key,
-    summed once per batch, so neither the thread count nor the block size
-    changes a bit of the result.  Memory in flight per worker is one row
-    block of raw draws and its transform, plus ``reps / MC_BATCHES`` floats
-    per requested key.
+    transformed and estimated block by block into one per-row array per
+    key, summed once per batch, so neither the thread count nor the block
+    size changes a bit of the result.  Memory in flight per worker is one
+    row block of raw draws and its transform, plus ``reps / MC_BATCHES``
+    floats per requested key.
     """
     check_batch_shape(n, reps)
     base, extra = divmod(reps, MC_BATCHES)
-    width = _width(law)
-    block = _block_rows(law, n)
 
     def batch_means(b: int) -> list[float]:
         m_batch = base + (1 if b < extra else 0)
         draw = _raw_sampler(law, rng.generator(b))
         per_row = {key: np.empty(m_batch) for key in keys}
-        buf = np.empty((min(block, m_batch), width, n))
-        for start in range(0, m_batch, block):
-            stop = min(start + block, m_batch)
-            raw = buf[: stop - start]
+        for rows, raw in _row_blocks(law, m_batch, n):
             draw(out=raw)
-            y2 = _transform(law, raw.swapaxes(0, 1))
+            y2 = _transform(law, raw)
             y2 *= y2
             norms_sq = y2.sum(axis=1)
             if not np.all(norms_sq > 0.0):
                 raise DegenerateInputError("zero row encountered in Monte Carlo draw")
             y2 /= norms_sq[:, None]
             for key, vals in _row_estimates(y2, n, keys).items():
-                per_row[key][start:stop] = vals
+                per_row[key][rows] = vals
         return [float(per_row[key].sum()) / m_batch for key in keys]
 
     workers = resolve_parallelism(None, (base + (extra > 0)) * n)

@@ -54,8 +54,8 @@ _PARAMETERS = {
 # Hard cap on matrix entries, refusing absurd allocations up front.
 _MAX_ENTRIES = 1 << 31
 
-# Raw draws (uniforms, or gamma variates) per row block of fill_matrix and
-# of the Monte Carlo moment estimates.
+# Raw draws (uniforms, or gamma variates) per row block of _row_blocks, the
+# one draw loop of fill_matrix and of the Monte Carlo moment estimates.
 _BLOCK_DRAWS = 1 << 16
 
 # Threads hand the interpreter lock over at every per-row draw or row
@@ -326,15 +326,17 @@ class RngStream:
         return states
 
 
-def _width(law: TailLaw) -> int:
-    """Raw draws per entry: two uniforms for Student-t, else one."""
-    return 2 if law.family == "student_t" else 1
-
-
-def _block_rows(law: TailLaw, n: int) -> int:
-    """Rows of length ``n`` in a block of at most ``_BLOCK_DRAWS`` raw draws
-    (one row when a row is longer)."""
-    return max(1, _BLOCK_DRAWS // (_width(law) * n))
+def _row_blocks(law: TailLaw, rows: int, n: int):
+    """``(slice, raw)`` for consecutive row blocks of a ``rows``-by-``n`` draw:
+    ``raw`` is a view of one reused ``(k, width, n)`` buffer (``width`` raw
+    draws per entry: two uniforms for Student-t, else one) holding at most
+    ``_BLOCK_DRAWS`` raw draws, or exactly one row when a row is longer."""
+    width = 2 if law.family == "student_t" else 1
+    block = max(1, _BLOCK_DRAWS // (width * n))
+    buf = np.empty((min(block, rows), width, n))
+    for a in range(0, rows, block):
+        b = min(a + block, rows)
+        yield slice(a, b), buf[: b - a]
 
 
 def _raw_sampler(law: TailLaw, gen: np.random.Generator):
@@ -345,11 +347,12 @@ def _raw_sampler(law: TailLaw, gen: np.random.Generator):
 
 
 def _transform(law: TailLaw, raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Entries of ``law`` from raw draws of shape ``(_width(law),) + shape``.
+    """Entries of shape ``(..., n)`` of ``law`` from raw draws of shape
+    ``(..., width, n)``, the row-major layout of ``_row_blocks``.
 
     The entries go to ``out`` when it is given; ``raw`` is used as scratch.
     """
-    u = raw[0]
+    u = raw[..., 0, :]
     if law.family == "inverse_gamma":
         x = np.divide(law.scale, u, out=out)
         if law.centered:
@@ -363,7 +366,7 @@ def _transform(law: TailLaw, raw: np.ndarray, out: np.ndarray | None = None) -> 
         # angle from the other; the marginal is exactly Student-t.
         df = law.df
         radius = np.sqrt(df * ((1.0 - u) ** (-2.0 / df) - 1.0))
-        return np.multiply(radius, np.cos(2.0 * np.pi * raw[1]), out=out)
+        return np.multiply(radius, np.cos(2.0 * np.pi * raw[..., 1, :]), out=out)
     v = 2.0 * u - 1.0
     v[v == 0.0] = 1.0
     np.abs(v, out=u)
@@ -377,26 +380,20 @@ def fill_matrix(law: TailLaw, p: int, n: int, rng: RngStream) -> DataMatrix:
     Row ``i`` uses the spawned child stream ``i`` of ``rng``, so it is a
     pure function of ``(master_seed, stream_id, i)`` and any set of rows
     can be regenerated independently of traversal order.  One generator
-    is re-stated per row and draws into one reused buffer that holds a
-    row block of at most ``_BLOCK_DRAWS`` raw draws (one row when a row is
-    longer); each block is transformed into the matrix at once.
+    is re-stated per row and draws into the row blocks of ``_row_blocks``;
+    each block is transformed into the matrix at once.
     """
     if p < 1 or n < 1:
         raise ParameterDomainError("matrix dimensions must be >= 1")
     if p * n > _MAX_ENTRIES:
         raise ResourceError(f"refusing to allocate {p}x{n} matrix")
-    width = _width(law)
-    rows = _block_rows(law, n)
     # the seed is a placeholder: every row sets the state before drawing
     bitgen = np.random.PCG64(0)
     draw = _raw_sampler(law, np.random.Generator(bitgen))
     states = rng.row_states(p)
     out = np.empty((p, n))
-    buf = np.empty((min(rows, p), width, n))
-    for a in range(0, p, rows):
-        b = min(a + rows, p)
-        raw = buf[: b - a]
-        for r, (state, inc) in enumerate(states[a:b]):
+    for rows, raw in _row_blocks(law, p, n):
+        for r, (state, inc) in enumerate(states[rows]):
             bitgen.state = {
                 "bit_generator": "PCG64",
                 "state": {"state": state, "inc": inc},
@@ -404,5 +401,5 @@ def fill_matrix(law: TailLaw, p: int, n: int, rng: RngStream) -> DataMatrix:
                 "uinteger": 0,
             }
             draw(out=raw[r])
-        _transform(law, raw.swapaxes(0, 1), out[a:b])
+        _transform(law, raw, out[rows])
     return DataMatrix(out)

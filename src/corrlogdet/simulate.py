@@ -320,9 +320,10 @@ def statistics_csv(report: ExperimentReport) -> str:
 
 def check_output_paths(paths: dict[str, str | None]) -> None:
     """Reject, before any work is done, an output whose directory does not
-    exist and two outputs that are one file: one path once symlinks are
-    resolved, or one device and inode (hard links).  ``paths`` maps the
-    name each output goes by in messages to its path, or to ``None``."""
+    exist, an output that is a directory, and two outputs that are one
+    file: one path once symlinks are resolved, or one device and inode
+    (hard links).  ``paths`` maps the name each output goes by in messages
+    to its path, or to ``None``."""
     names: dict[object, str] = {}
     for name, path in paths.items():
         if not path:
@@ -332,6 +333,8 @@ def check_output_paths(paths: dict[str, str | None]) -> None:
             raise ConfigError(f"cannot write {path}: {directory} is not a directory")
         real = os.path.realpath(path)
         info = os.stat(real) if os.path.exists(real) else None
+        if info and stat.S_ISDIR(info.st_mode):
+            raise ConfigError(f"cannot write {path}: {real} is a directory")
         key = (info.st_dev, info.st_ino) if info else real
         if key in names:
             raise ConfigError(f"{names[key]} and {name} name the same file {real}")

@@ -9,15 +9,17 @@ import numpy as np
 
 from corrlogdet import MomentTable, ParameterDomainError, RngStream, TailLaw
 from corrlogdet.moments import ALL_KEYS, Number, _row_estimates, mc_moment_batches
-from corrlogdet.sampling import _raw_sampler, _transform, _width
+from corrlogdet.sampling import _raw_sampler, _transform
 
 
 def draw(law: TailLaw, gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     """Array of i.i.d. entries of ``law`` with the given shape, drawn from
-    ``gen`` row after row (a row is the last axis), in the row-major raw
-    layout of ``fill_matrix`` and ``mc_moment_batches``."""
-    raw = _raw_sampler(law, gen)(size=shape[:-1] + (_width(law), shape[-1]))
-    return _transform(law, np.moveaxis(raw, -2, 0))
+    ``gen`` row after row (a row is the last axis) in one call, in the
+    row-major raw layout ``(..., width, n)`` of ``sampling._row_blocks``,
+    whose blocks ``fill_matrix`` and ``mc_moment_batches`` draw into."""
+    width = 2 if law.family == "student_t" else 1
+    raw = _raw_sampler(law, gen)(size=shape[:-1] + (width, shape[-1]))
+    return _transform(law, raw)
 
 
 def whole_batch_means(

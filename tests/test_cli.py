@@ -116,11 +116,17 @@ def test_simulate_bad_values_exit_2_before_running(tmp_path, config_file, capsys
         ({"json_path": "cfg.json"}, "--config and outputs.json_path name the same file"),
         ({"--out-json": "hard.json"}, "--config and outputs.json_path name the same file"),
         ({"--out-csv": "old.csv", "--out-json": "hard.csv"}, "outputs.csv_path and outputs.json_path"),
+        ({"--out-csv": "outdir"}, "cannot write {tmp}/outdir: {tmp}/outdir is a directory"),
+        # the csv and json outputs, checked first, are fine and stay unwritten
+        (
+            {"--out-csv": "s.csv", "--out-json": "r.json", "--out-svg": "link/outdir"},
+            "cannot write {tmp}/link/outdir: {tmp}/outdir is a directory",
+        ),
     ],
     ids=[
         "csv-dir", "json-dir", "svg-dir-is-file", "csv-json", "csv-svg-dot", "json-svg-symlink",
         "json-is-config", "csv-is-config-dot", "svg-is-config-symlink", "config-outputs-name-config",
-        "json-is-config-hard-link", "csv-json-hard-link",
+        "json-is-config-hard-link", "csv-json-hard-link", "csv-is-directory", "svg-is-directory",
     ],
 )
 def test_simulate_bad_outputs_exit_2_before_running(
@@ -131,6 +137,7 @@ def test_simulate_bad_outputs_exit_2_before_running(
 
     monkeypatch.setattr("corrlogdet.cli.run_simulation", must_not_run)
     (tmp_path / "link").symlink_to(tmp_path)
+    (tmp_path / "outdir").mkdir()
     os.link(config_file, tmp_path / "hard.json")
     (tmp_path / "old.csv").write_text("previous output\n")
     os.link(tmp_path / "old.csv", tmp_path / "hard.csv")
@@ -149,7 +156,10 @@ def test_simulate_bad_outputs_exit_2_before_running(
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert message.format(tmp=tmp_path) in captured.err
-    assert sorted(os.listdir(tmp_path)) == ["cfg.json", "hard.csv", "hard.json", "link", "old.csv"]
+    assert sorted(os.listdir(tmp_path)) == [
+        "cfg.json", "hard.csv", "hard.json", "link", "old.csv", "outdir"
+    ]
+    assert os.listdir(tmp_path / "outdir") == []
     assert config_file.read_text() == config_text
     assert (tmp_path / "old.csv").read_text() == "previous output\n"
 
@@ -207,6 +217,17 @@ def test_asymptotics_bad_arguments_exit_2_before_sampling(tmp_path, capsys, monk
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_asymptotics_csv_that_is_a_directory_exits_2_before_running(tmp_path, capsys, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the diagnostic ran before its output was checked")
+
+    monkeypatch.setattr("corrlogdet.cli.convergence_diagnostic", must_not_run)
+    assert main(["asymptotics", "--alpha", "3.5", "--grid", "500", "--out-csv", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {tmp_path}: {tmp_path} is a directory\n"
 
 
 def test_rerun_into_the_same_paths_gives_the_same_bytes(tmp_path, config_file, capsys):

@@ -323,7 +323,9 @@ def test_mc_batches_memory_is_row_blocks_not_batches(monkeypatch, law):
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_mc_batches_zero_row_error_reaches_caller(monkeypatch, threads):
     monkeypatch.setenv("THREADS", threads)
-    monkeypatch.setattr(moments, "_transform", lambda law, raw: np.zeros(raw.shape[1:]))
+    monkeypatch.setattr(
+        moments, "_transform", lambda law, raw: np.zeros(raw.shape[:1] + raw.shape[2:])
+    )
     monkeypatch.setattr(moments, "MC_BATCHES", 4)
     with pytest.raises(DegenerateInputError, match=r"^zero row encountered in Monte Carlo draw$"):
         mc_moment_batches(TailLaw.gaussian(), 8, 64, RngStream(5))

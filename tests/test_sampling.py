@@ -15,7 +15,7 @@ from corrlogdet import (
 )
 from corrlogdet import moments
 from corrlogdet.moments import mc_moment_batches
-from corrlogdet.sampling import _BLOCK_DRAWS, _PARAMETERS
+from corrlogdet.sampling import _BLOCK_DRAWS, _PARAMETERS, _row_blocks
 from mc_table import draw
 
 MASK64 = (1 << 64) - 1
@@ -135,6 +135,26 @@ def test_fill_matrix_matches_spawned_rows(law, shape):
     assert (rows == 1) if n > 2**15 else (1 < rows < p and p % rows)
     rng = RngStream(31, 2**64 - 1)
     assert fill_matrix(law, p, n, rng).values.tobytes() == _spawned_rows(law, rng, p, n).tobytes()
+
+
+@pytest.mark.parametrize(
+    "shape", BLOCK_SHAPES + [(1, 5)], ids=["partial_last_block", "row_per_block", "lone_row"]
+)
+@pytest.mark.parametrize("law", ALL_LAWS, ids=lambda law: law.family)
+def test_row_blocks_tile_the_rows_in_one_bounded_buffer(law, shape):
+    # block sizes never change bits, so only this test sees a wrong one
+    rows, n = shape
+    width = 2 if law.family == "student_t" else 1
+    blocks = list(_row_blocks(law, rows, n))
+    assert [i for block, _ in blocks for i in range(rows)[block]] == list(range(rows))
+    sizes = [len(range(rows)[block]) for block, _ in blocks]
+    for k, (_, raw) in zip(sizes, blocks):
+        assert raw.shape == (k, width, n)
+        assert np.shares_memory(raw, blocks[0][1])
+        assert k == 1 or k * width * n <= _BLOCK_DRAWS
+    # every block but the last is as large as the bound allows
+    assert all(k == sizes[0] for k in sizes[:-1])
+    assert len(sizes) == 1 or (sizes[0] + 1) * width * n > _BLOCK_DRAWS
 
 
 def test_distinct_streams_differ():
