@@ -7,14 +7,15 @@ directory, applies the mutant there and runs the mutant's test subset with
 ``pytest -x``.  It prints one line per mutant, ``name killed <first
 failing test>`` or ``name survived``, and then the score::
 
-    python tools/mutants.py [name ...]
+    python tools/mutants.py
 
-A mutant is recorded as ``killed`` (some test must fail) or
+A mutant is recorded as ``killed`` (some test must fail or error) or
 ``equivalent`` (it keeps the law of every output, so its subset, which
 leaves out the pinned digests, must pass).  The subsets are first run on
 an unmutated copy.  Exits 1 when a mutant's old text is not found exactly
-once, when that baseline fails, when a mutant recorded as killed survives
-or when pytest cannot run a subset.
+once, when that baseline fails, when a mutant's result differs from the
+recorded one in either direction or when pytest cannot run a subset.  The
+score counts only mutants recorded as killed that were killed.
 """
 
 from __future__ import annotations
@@ -100,37 +101,36 @@ def _run(tests: tuple[str, ...], mutant: Mutant | None = None) -> tuple[int, str
     return run.returncode, first.group(1) if first else run.stdout.strip()[-200:]
 
 
-def main(names: list[str]) -> int:
-    if unknown := set(names) - {m.name for m in MUTANTS}:
-        sys.stderr.write(f"unknown mutants: {sorted(unknown)}\n")
-        return 1
-    chosen = [m for m in MUTANTS if not names or m.name in names]
-    for m in chosen:
+def main() -> int:
+    for m in MUTANTS:
         found = (ROOT / m.path).read_text().count(m.old)
         if found != 1:
             print(f"{m.name}: old text found {found} times in {m.path}")
             return 1
-    for tests in dict.fromkeys(m.tests for m in chosen):
+    for tests in dict.fromkeys(m.tests for m in MUTANTS):
         code, first = _run(tests)
         if code != 0:
             print(f"baseline fails: {' '.join(tests)}: {first}")
             return 1
     status, killed = 0, 0
-    for m in chosen:
+    for m in MUTANTS:
         code, first = _run(m.tests, m)
-        if code == 1:
-            killed += 1
-            print(f"{m.name} killed {first}", flush=True)
+        # 1: a test failed; 2: collection failed, e.g. the mutant breaks an
+        # import (the unmutated baseline passed, so the mutant is the cause)
+        if code in (1, 2):
+            print(f"{m.name} killed ({m.expect}) {first}", flush=True)
+            killed += m.expect == "killed"
+            status |= m.expect != "killed"
         elif code == 0:
             print(f"{m.name} survived ({m.expect})", flush=True)
-            status |= m.expect == "killed"
+            status |= m.expect != "equivalent"
         else:
             print(f"{m.name} error: pytest exit {code}: {first}", flush=True)
             status = 1
-    equivalent = sum(m.expect == "equivalent" for m in chosen)
-    print(f"score: {killed}/{len(chosen)} killed, {equivalent} recorded equivalent")
+    equivalent = sum(m.expect == "equivalent" for m in MUTANTS)
+    print(f"score: {killed}/{len(MUTANTS)} killed, {equivalent} recorded equivalent")
     return status
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
