@@ -1,20 +1,17 @@
 """Centering and scaling for the log-determinant limit laws, plus
 normal goodness-of-fit utilities.
 
-Two standardizations are provided.  For the correlation matrix,
+For the covariance matrix S = X X'/n of variance-one entries, with
+beta = E X^4 - 3,
 
-    (log det R - mu) / sigma,   mu = (p - n + 1/2) log(1 - p/n) - p + p/n,
-                                sigma^2 = -2 log(1 - p/n) - 2 p/n,
-
-with no dependence on the entry distribution's fourth moment.  For the
-covariance matrix S = X X'/n of variance-one entries, with beta = E X^4 - 3,
-
-    mu = (p - n + 1/2) log(1 - p/n) - p - beta p / (2n),
-    sigma^2 = -2 log(1 - p/n) + beta p/n
+    (log det S - mu) / sigma,   mu = (p - n + 1/2) log(1 - p/n) - p - beta p / (2n),
+                                sigma^2 = -2 log(1 - p/n) + beta p/n
 
 (Bai & Silverstein, Ann. Probab. 32, 2004, for f = log, with the beta terms
 of their book, 2nd ed., 2010, ch. 9; at p = 1, E log S = -(2 + beta)/(2n)
-to leading order fixes the sign of the beta term).
+to leading order fixes the sign of the beta term).  The law of log det R,
+for the correlation matrix, is this law at beta = -2 (E X^4 = 1) whatever
+the entries' law: mu ends in + p/n, and sigma^2 = -2 log(1 - p/n) - 2 p/n.
 """
 
 from __future__ import annotations
@@ -40,12 +37,9 @@ def _c_n(p: int, n: int) -> float:
 
 
 def standardize_corr(logdet_r: np.ndarray, p: int, n: int) -> np.ndarray:
-    """Standardized correlation log-determinants (asymptotically N(0,1))."""
-    _check_shape(p, n)
-    ratio = p / n
-    centering = (p - n + 0.5) * math.log1p(-ratio) - p + ratio
-    variance = -2.0 * math.log1p(-ratio) - 2.0 * ratio
-    return (logdet_r - centering) / math.sqrt(variance)
+    """Standardized correlation log-determinants (asymptotically N(0,1)): the
+    covariance law at fourth moment 1, to the bit (0.5 * -2.0 is -1.0)."""
+    return standardize_cov(logdet_r, p, n, 1.0)
 
 
 def standardize_cov(logdet_s: np.ndarray, p: int, n: int, fourth_moment: float) -> np.ndarray:

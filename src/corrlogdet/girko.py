@@ -23,16 +23,17 @@ BLAS pinned to one thread: on these tall, thin matrices threaded OpenBLAS
 was slower (8.7 against 3.2 ms at p = 100, n = 500 on 2 CPUs).
 
 ``audit_bounds`` rebuilds the unscaled projector ``P`` from a trace's
-basis to check the entry bounds of ``Q_i``.  ``P`` stays exactly
-symmetric (IEEE products commute), so only its upper triangle is kept, in
-row blocks swept one at a time (Golub & Van Loan, sections 1.3-1.4): each
-block runs every step while it stays in cache, reading its diagonal and
-off-diagonal extremes and then taking the rank-one update by column ``i``
-of ``U`` as one in-place BLAS ``dgemm`` with inner dimension 1.  With a
-single term the product ``w_k w_l`` is rounded on its own, as in
-``np.outer``, and the scalings by -1 and 1 are exact, so each entry
-becomes ``fl(P_kl - fl(w_k w_l))``, the bits of an outer product and a
-subtraction.  A kernel that fused the product into the subtraction would
+basis to check the entry bounds of ``Q_i``.  Its diagonal before every
+step is one running subtraction ``fl(P_kk - fl(w_k w_k))`` over all steps.
+``P`` stays exactly symmetric (IEEE products commute), so only its upper
+triangle is kept, in row blocks swept one at a time (Golub & Van Loan,
+sections 1.3-1.4): each block, its diagonal held at 0, runs every step
+while it stays in cache, reading its largest absolute entry and then
+taking the rank-one update by column ``i`` of ``U`` as one in-place BLAS
+``dgemm`` with inner dimension 1.  With a single term the product
+``w_k w_l`` is rounded on its own, as in ``np.outer``, and the scalings by
+-1 and 1 are exact, so each entry becomes ``fl(P_kl - fl(w_k w_l))``, the
+bits of an outer product and a subtraction.  A kernel that fused the product into the subtraction would
 round once and differ; the dense-oracle test
 ``test_blocked_audit_is_bit_identical_to_dense`` guards this on whichever
 BLAS is loaded.
@@ -86,39 +87,38 @@ def audit_bounds(trace: GirkoTrace) -> np.ndarray:
 
     Rows: diag_min, diag_max, offdiag_max, trace_error.  Row ``i`` of
     ``trace.basis`` is the unit vector that step ``i`` removes from ``P``.
-    Each row block ``a:b`` of the upper triangle, columns ``a`` on, runs
-    every step while it is cache-resident: it records its diagonal into
-    ``pdiag`` and its off-diagonal extremes (each including 0), then takes
-    the rank-one update.  The square part of a block is updated in full, so
-    it stays symmetric, and together the blocks see every off-diagonal
-    entry.
+    ``pdiag`` is 1 less the squared rows, one running subtraction.  Each
+    row block ``a:b`` of the upper triangle, columns ``a`` on, runs every
+    step in cache: it folds its largest absolute entry into ``off`` (from
+    +0.0, which Python's ``max`` keeps over -0.0), takes the rank-one update
+    and resets its diagonal to 0.  The square part of a block is updated in
+    full, so together the blocks see every off-diagonal entry.
     """
     ut = trace.basis
     p, n = ut.shape
     rows = max(1, _AUDIT_BLOCK_ENTRIES // n)
     pdiag = np.empty((p, n))
-    hi, lo = np.zeros(p), np.zeros(p)
+    pdiag[0] = 1.0
+    np.square(ut[:-1], out=pdiag[1:])
+    np.subtract.accumulate(pdiag, axis=0, out=pdiag)
+    off = np.zeros(p)
     with single_blas_thread():
         for a in range(0, n, rows):
             b = min(a + rows, n)
             block = np.zeros((b - a, n - a))
             diag = block.reshape(-1)[:: n - a + 1]
-            diag[:] = 1.0
             for i, w in enumerate(ut[:, a:]):
-                pdiag[i, a:b] = diag
-                diag[:] = 0.0
-                hi[i] = max(hi[i], block.max())
-                lo[i] = min(lo[i], block.min())
-                diag[:] = pdiag[i, a:b]
+                off[i] = max(off[i], block.max(), -block.min())
                 if i + 1 < p:
                     # block.T is the Fortran view of C-ordered block: in place
                     _dgemm(-1.0, w[:, None], w[None, : b - a], 1.0, block.T, overwrite_c=1)
+                    diag[:] = 0.0
     m = n - np.arange(p)
     return np.stack(
         [
             pdiag.min(axis=1) / m,
             pdiag.max(axis=1) / m,
-            np.where(-lo > hi, -lo, hi) / m,  # max(hi, -lo); np.maximum gives -0.0
+            off / m,
             np.abs(pdiag.sum(axis=1) / m - 1.0),
         ]
     )

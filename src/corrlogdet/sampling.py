@@ -224,8 +224,7 @@ class TailLaw:
             return 3.0 * (self.df - 2.0) / (self.df - 4.0)
         if self.family == "symmetric_pareto":
             a = self.alpha
-            raw4 = a / (a - 4.0)
-            return raw4 / (a / (a - 2.0)) ** 2
+            return a / (a - 4.0) / self.variance() ** 2
         a, b = self.shape, self.scale
         raw = [b**k / math.prod(a - j for j in range(1, k + 1)) for k in range(1, 5)]
         m1, m2, m3, m4 = raw

@@ -22,7 +22,7 @@ from typing import Any
 import numpy as np
 
 from .blas import single_blas_thread
-from .cltstats import KsResult, SummaryMoments, ks_test, standardize_corr, standardize_cov, summary_moments
+from .cltstats import KsResult, SummaryMoments, ks_test, standardize_cov, summary_moments
 from .errors import ConfigError, NotPositiveDefiniteError, NumericalFailure
 from .matrices import log_det_spd, sample_correlation, sample_covariance
 from .sampling import RngStream, TailLaw, fill_matrix, resolve_parallelism
@@ -243,7 +243,7 @@ def run_simulation(config: ExperimentConfig) -> ExperimentReport:
     """Run all replications and aggregate; raises
     :class:`NumericalFailure` if more than 0.1% of them flag."""
     scale = 1.0
-    fourth_moment = 3.0
+    fourth_moment = 1.0  # the correlation law is the covariance law at E X^4 = 1
     if config.statistic == "cov_logdet":
         variance = config.law.variance()
         if not math.isfinite(variance):
@@ -273,10 +273,7 @@ def run_simulation(config: ExperimentConfig) -> ExperimentReport:
                 flagged[rep] = True
                 flags.append({"rep": rep, "pivot": pivot})
     wall = time.perf_counter() - start
-    if config.statistic == "corr_logdet":
-        stats = standardize_corr(logdets, config.p, config.n)
-    else:
-        stats = standardize_cov(logdets, config.p, config.n, fourth_moment)
+    stats = standardize_cov(logdets, config.p, config.n, fourth_moment)
 
     if np.mean(flagged) > _FLAG_BUDGET:
         raise NumericalFailure(
@@ -321,9 +318,9 @@ def statistics_csv(report: ExperimentReport) -> str:
 def check_output_paths(paths: dict[str, str | None]) -> None:
     """Reject, before any work is done, an output whose directory does not
     exist, an output that is a directory, and two outputs that are one
-    file: one path once symlinks are resolved, or one device and inode
-    (hard links).  ``paths`` maps the name each output goes by in messages
-    to its path, or to ``None``."""
+    regular file: one path once symlinks are resolved, or one device and
+    inode (hard links).  ``paths`` maps each output's name in messages to
+    its path or ``None``."""
     names: dict[object, str] = {}
     for name, path in paths.items():
         if not path:
@@ -335,6 +332,8 @@ def check_output_paths(paths: dict[str, str | None]) -> None:
         info = os.stat(real) if os.path.exists(real) else None
         if info and stat.S_ISDIR(info.st_mode):
             raise ConfigError(f"cannot write {path}: {real} is a directory")
+        if info and not stat.S_ISREG(info.st_mode):
+            continue  # a device such as /dev/null takes any number of outputs
         key = (info.st_dev, info.st_ino) if info else real
         if key in names:
             raise ConfigError(f"{names[key]} and {name} name the same file {real}")

@@ -164,6 +164,13 @@ def test_simulate_bad_outputs_exit_2_before_running(
     assert (tmp_path / "old.csv").read_text() == "previous output\n"
 
 
+def test_every_output_to_dev_null_runs(config_file, capsys):
+    # a device is never one file of two outputs, however many name it
+    outputs = ["--out-csv", os.devnull, "--out-json", os.devnull, "--out-svg", os.devnull]
+    assert main(["simulate", "--config", str(config_file), "--reps", "20", *outputs]) == 0
+    assert "KS statistic" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "target, argv",
     [

@@ -29,6 +29,23 @@ def test_standardize_corr_centering():
     assert standardize_corr(mu + math.sqrt(sigma2), 200, 500) == pytest.approx(1.0)
 
 
+def test_standardize_corr_is_cov_at_fourth_moment_one():
+    # the correlation law is the covariance law at beta = -2, to the bit, on
+    # 2,001 fixed (p, n): n from 2 to 10**9 on a geometric grid, p from 1 to n - 1
+    shapes = set()
+    for n in np.unique(np.geomspace(2, 1e9, 220).astype(np.int64)).tolist():
+        for p in (1, 2, n // 100, n // 7, n // 3, n // 2, 2 * n // 3, 9 * n // 10, n - 2, n - 1):
+            if 0 < p < n:
+                shapes.add((p, n))
+    assert len(shapes) == 2001
+    assert (1, 2) in shapes and (10**9 - 1, 10**9) in shapes
+    x = np.array([-1e6, -153.273, -1.0, 0.0, 0.5, 1e3])
+    for p, n in shapes:
+        corr = standardize_corr(x, p, n)
+        cov = standardize_cov(x, p, n, 1.0)
+        assert np.array_equal(corr.view(np.uint64), cov.view(np.uint64)), (p, n)
+
+
 def test_standardize_corr_domain():
     with pytest.raises(ParameterDomainError):
         standardize_corr(0.0, 500, 500)
@@ -96,6 +113,18 @@ def test_ks_matches_scipy():
     x = rng.normal(size=500)
     ours = ks_test(x)
     ref = stats.kstest(x, "norm", mode="asymp")
+    assert ours.statistic == pytest.approx(ref.statistic, abs=1e-12)
+    assert ours.p_value == pytest.approx(ref.pvalue, abs=1e-8)
+
+
+@pytest.mark.parametrize("shift", [-0.5, 0.5])
+def test_ks_matches_scipy_on_either_side(shift):
+    # a shift up puts the largest gap below the normal cdf (D-), a shift
+    # down above it (D+)
+    x = np.random.default_rng(3).normal(size=300) + shift
+    ours = ks_test(x)
+    ref = stats.kstest(x, "norm", mode="asymp")
+    assert ref.statistic_sign == (-1 if shift > 0 else 1)
     assert ours.statistic == pytest.approx(ref.statistic, abs=1e-12)
     assert ours.p_value == pytest.approx(ref.pvalue, abs=1e-8)
 

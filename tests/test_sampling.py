@@ -303,6 +303,9 @@ def test_standardized_fourth_moment():
     assert TailLaw.student_t(6.0).standardized_fourth_moment() == pytest.approx(6.0)
     assert math.isinf(TailLaw.student_t(3.5).standardized_fourth_moment())
     assert math.isinf(TailLaw.inverse_gamma(3.5, 2.0).standardized_fourth_moment())
+    # symmetric Pareto: E X^4 / (E X^2)^2 = (a / (a - 4)) / (a / (a - 2))^2
+    assert TailLaw.symmetric_pareto(6.0).standardized_fourth_moment() == 4.0 / 3.0
+    assert TailLaw.symmetric_pareto(5.0).standardized_fourth_moment() == pytest.approx(1.8, rel=1e-15)
 
 
 @pytest.mark.parametrize(

@@ -70,6 +70,32 @@ MUTANTS = [
            "        if info and stat.S_ISDIR(info.st_mode):\n"
            '            raise ConfigError(f"cannot write {path}: {real} is a directory")\n',
            "", ("tests/test_cli.py",), "killed"),
+    # the correlation law read at the Gaussian fourth moment, not at 1
+    Mutant("corr-fourth-moment-3", "src/corrlogdet/cltstats.py",
+           "standardize_cov(logdet_r, p, n, 1.0)", "standardize_cov(logdet_r, p, n, 3.0)",
+           ("tests/test_cltstats.py",), "killed"),
+    # the sign of the fourth-moment term of the limit variance
+    Mutant("cov-variance-excess-sign", "src/corrlogdet/cltstats.py",
+           "+ excess * ratio", "- excess * ratio", ("tests/test_cltstats.py",), "killed"),
+    # the half in the centering's log coefficient
+    Mutant("centering-half", "src/corrlogdet/cltstats.py",
+           "(p - n + 0.5)", "(p - n + 1.5)", ("tests/test_cltstats.py",), "killed"),
+    # the symmetric-Pareto fourth moment
+    Mutant("pareto-fourth-moment", "src/corrlogdet/sampling.py",
+           "a / (a - 4.0)", "a / (a - 3.0)", ("tests/test_sampling.py",), "killed"),
+    # the audit's off-diagonal bound forgets the negative entries
+    Mutant("audit-offdiag-min-sign", "src/corrlogdet/girko.py",
+           "-block.min()", "block.min()",
+           ("tests/test_girko.py", "-k", "audit or offdiag or invariants"), "killed"),
+    # the audit's block diagonal is not reset, so it counts as off-diagonal
+    Mutant("audit-diag-reset", "src/corrlogdet/girko.py", "diag[:] = 0.0", "pass",
+           ("tests/test_girko.py", "-k", "audit or offdiag or invariants"), "killed"),
+    # the KS statistic's lower side without its 1/m offset
+    Mutant("ks-lower-offset", "src/corrlogdet/cltstats.py",
+           "(grid - 1.0 / m)", "grid", ("tests/test_cltstats.py",), "killed"),
+    # the constant term of the sphere fourth-moment coefficients
+    Mutant("k-constant", "src/corrlogdet/moments.py", "- 3 * one\n", "- 2 * one\n",
+           ("tests/test_moments.py", "-k", "k_coefficients"), "killed"),
     # the Student-t angle through sin: the angle is uniform on a full turn,
     # so the law is the same and only the pinned digests see the change
     Mutant("t-angle-sin", "src/corrlogdet/sampling.py",
