@@ -6,7 +6,8 @@ Cholesky audit), ``asymptotics`` (scaled-moment convergence diagnostic),
 ``plot`` (re-render an SVG from a saved report).
 
 Exit codes: 0 success, 1 verification failure, 2 invalid configuration or
-arguments or out of memory, 3 numerical failure beyond the flag budget.
+arguments, a degenerate data row or out of memory, 3 numerical failure
+beyond the flag budget.
 """
 
 from __future__ import annotations
@@ -15,7 +16,13 @@ import argparse
 import dataclasses
 import sys
 
-from .errors import ConfigError, NumericalFailure, ParameterDomainError, ResourceError
+from .errors import (
+    ConfigError,
+    DegenerateInputError,
+    NumericalFailure,
+    ParameterDomainError,
+    ResourceError,
+)
 from .sampling import RngStream, TailLaw
 from .simulate import (
     ExperimentConfig,
@@ -180,7 +187,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except (ConfigError, ParameterDomainError, ResourceError) as exc:
+    except (ConfigError, DegenerateInputError, ParameterDomainError, ResourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

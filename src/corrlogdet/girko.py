@@ -15,28 +15,29 @@ Every step comes from one Householder QR factorization ``Y' = U R``
 (Golub & Van Loan, *Matrix Computations*, section 5.2).  The first ``i``
 columns of ``U`` span rows ``0..i-1``, so the squared distance ``y' P y``
 of row ``i`` is ``R[i, i]**2``, and the diagonal of
-``P = I - U[:, :i] U[:, :i]'`` is ``1 - sum_{k<i} U[:, k]**2``, an
-exclusive cumulative sum of the squared basis.  The statistics of every
-step are then array work on ``U'``, one contiguous row per step, with the
+``P = I - U[:, :i] U[:, :i]'`` is 1 less the squared columns ``k < i``
+of ``U``, subtracted one at a time: ``fl(P_kk - fl(w_k w_k))``.  The
+trace keeps that diagonal, built once, and every step statistic is array
+work on it and on ``U'``, one contiguous row per step, with the
 unit-trace projector ``Q_i = P / (n - i)``.  The factorization runs with
 BLAS pinned to one thread: on these tall, thin matrices threaded OpenBLAS
 was slower (8.7 against 3.2 ms at p = 100, n = 500 on 2 CPUs).
 
-``audit_bounds`` rebuilds the unscaled projector ``P`` from a trace's
-basis to check the entry bounds of ``Q_i``.  Its diagonal before every
-step is one running subtraction ``fl(P_kk - fl(w_k w_k))`` over all steps.
-``P`` stays exactly symmetric (IEEE products commute), so only its upper
-triangle is kept, in row blocks swept one at a time (Golub & Van Loan,
-sections 1.3-1.4): each block, its diagonal held at 0, runs every step
-while it stays in cache, reading its largest absolute entry and then
-taking the rank-one update by column ``i`` of ``U`` as one in-place BLAS
-``dgemm`` with inner dimension 1.  With a single term the product
-``w_k w_l`` is rounded on its own, as in ``np.outer``, and the scalings by
--1 and 1 are exact, so each entry becomes ``fl(P_kl - fl(w_k w_l))``, the
-bits of an outer product and a subtraction.  A kernel that fused the product into the subtraction would
+``audit_bounds`` checks the entry bounds of ``Q_i``.  It reads the
+diagonal of ``P`` from the trace and rebuilds the rest of ``P`` from the
+trace's basis.  ``P`` stays exactly symmetric (IEEE products commute),
+so only its upper triangle is kept, in row blocks swept one at a time
+(Golub & Van Loan, sections 1.3-1.4): each block, its diagonal held at 0,
+runs every step while it stays in cache, reading its largest absolute
+entry and then taking the rank-one update by column ``i`` of ``U`` as one
+in-place BLAS ``dgemm`` with inner dimension 1.  With a single term the
+product ``w_k w_l`` is rounded on its own, as in ``np.outer``, and the
+scalings by -1 and 1 are exact, so each entry becomes
+``fl(P_kl - fl(w_k w_l))``, the bits of an outer product and a
+subtraction.  A kernel that fused the product into the subtraction would
 round once and differ; the dense-oracle test
-``test_blocked_audit_is_bit_identical_to_dense`` guards this on whichever
-BLAS is loaded.
+``test_blocked_audit_is_bit_identical_to_dense`` guards this, and the
+trace's diagonal, on whichever BLAS is loaded.
 
 Each step statistic splits into a diagonal part driven by fourth-moment
 behavior and an off-diagonal bilinear part that carries the asymptotic
@@ -67,7 +68,8 @@ class GirkoTrace:
 
     ``power_sums[i, j-1]`` holds the j-th diagonal power sum of Q_i;
     ``basis`` is ``U'`` (p x n), whose row i is the unit vector that step i
-    adds to the span.
+    adds to the span; ``diagonal`` (p x n) holds in row i the diagonal of
+    the unscaled projector P before step i.
     """
 
     c_n: float
@@ -76,6 +78,7 @@ class GirkoTrace:
     v_part: np.ndarray
     power_sums: np.ndarray
     basis: np.ndarray
+    diagonal: np.ndarray
 
     @property
     def log_det(self) -> float:
@@ -85,22 +88,18 @@ class GirkoTrace:
 def audit_bounds(trace: GirkoTrace) -> np.ndarray:
     """Entry bounds of ``Q_i = P_i / (n - i)`` before each step ``i``.
 
-    Rows: diag_min, diag_max, offdiag_max, trace_error.  Row ``i`` of
+    Rows: diag_min, diag_max, offdiag_max, trace_error.  The diagonal
+    bounds and the trace error read ``trace.diagonal``.  Row ``i`` of
     ``trace.basis`` is the unit vector that step ``i`` removes from ``P``.
-    ``pdiag`` is 1 less the squared rows, one running subtraction.  Each
-    row block ``a:b`` of the upper triangle, columns ``a`` on, runs every
-    step in cache: it folds its largest absolute entry into ``off`` (from
-    +0.0, which Python's ``max`` keeps over -0.0), takes the rank-one update
-    and resets its diagonal to 0.  The square part of a block is updated in
+    Each row block ``a:b`` of the upper triangle, columns ``a`` on, runs
+    every step in cache: it folds its largest absolute entry into ``off``
+    (from +0.0, which Python's ``max`` keeps over -0.0), takes the rank-one
+    update and resets its diagonal to 0.  The square part of a block is updated in
     full, so together the blocks see every off-diagonal entry.
     """
     ut = trace.basis
     p, n = ut.shape
     rows = max(1, _AUDIT_BLOCK_ENTRIES // n)
-    pdiag = np.empty((p, n))
-    pdiag[0] = 1.0
-    np.square(ut[:-1], out=pdiag[1:])
-    np.subtract.accumulate(pdiag, axis=0, out=pdiag)
     off = np.zeros(p)
     with single_blas_thread():
         for a in range(0, n, rows):
@@ -116,10 +115,10 @@ def audit_bounds(trace: GirkoTrace) -> np.ndarray:
     m = n - np.arange(p)
     return np.stack(
         [
-            pdiag.min(axis=1) / m,
-            pdiag.max(axis=1) / m,
+            trace.diagonal.min(axis=1) / m,
+            trace.diagonal.max(axis=1) / m,
             off / m,
-            np.abs(pdiag.sum(axis=1) / m - 1.0),
+            np.abs(trace.diagonal.sum(axis=1) / m - 1.0),
         ]
     )
 
@@ -149,21 +148,20 @@ def girko_log_det(y: np.ndarray) -> GirkoTrace:
     if not ok.all() or stop < p:
         raise SingularStepError(step=stop if ok.all() else int(np.argmin(ok)))
 
-    ut = basis.T  # step-major, as GirkoTrace.basis
-    # diag[i] = diagonal of P before step i, 1 minus an exclusive cumsum
+    ut = basis.T  # step-major, as GirkoTrace.basis and .diagonal
     diag = np.empty((p, n))
-    diag[:1] = 0.0
+    diag[0] = 1.0
     np.square(ut[:-1], out=diag[1:])
-    np.cumsum(diag, axis=0, out=diag)
-    np.subtract(1.0, diag, out=diag)
+    np.subtract.accumulate(diag, axis=0, out=diag)
     ypy = np.einsum("ij,ij,ij->i", diag, rows, rows)
     u = (n * ypy - m) / m
     v = n * (rsq - ypy) / m
 
-    qd = np.divide(diag, m[:, None], out=diag)
-    q2 = qd * qd
-    cubes, fourths = np.einsum("ij,ij->i", q2, qd), np.einsum("ij,ij->i", q2, q2)
-    sums = np.stack([qd.sum(axis=1), q2.sum(axis=1), cubes, fourths], axis=1)
+    qd = diag / m[:, None]  # Q's diagonal, the one scratch array beside diag
+    s1 = qd.sum(axis=1)
+    q2 = np.square(qd, out=qd)
+    cubes, fourths = np.einsum("ij,ij->i", q2, diag) / m, np.einsum("ij,ij->i", q2, q2)
+    sums = np.stack([s1, q2.sum(axis=1), cubes, fourths], axis=1)
 
     return GirkoTrace(
         c_n=_c_n(p, n),
@@ -172,4 +170,5 @@ def girko_log_det(y: np.ndarray) -> GirkoTrace:
         v_part=v,
         power_sums=sums,
         basis=ut,
+        diagonal=diag,
     )

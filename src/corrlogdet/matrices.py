@@ -69,13 +69,19 @@ def sample_correlation(x: DataMatrix) -> np.ndarray:
     """Correlation matrix ``Y @ Y.T`` with the diagonal pinned to exactly 1.
 
     Consumes ``x``: each row of ``x.values`` is divided by its Euclidean
-    norm in place, so ``x.values`` holds ``Y`` afterwards.  A zero row is
-    an error and leaves ``x`` as it was.
+    norm in place, so ``x.values`` holds ``Y`` afterwards.  A row whose
+    norm is zero, or infinite because its squares overflow (dividing by it
+    would zero the row), is an error naming the first such row and leaves
+    ``x`` as it was.
     """
     y = x.values
-    norms = _row_norms(y)
-    if np.any(norms == 0.0):
-        raise DegenerateInputError(f"row {int(np.argmin(norms))} has zero norm")
+    with np.errstate(over="ignore"):  # an overflowed square is reported below
+        norms = _row_norms(y)
+    bad = (norms == 0.0) | (norms == np.inf)
+    if bad.any():
+        i = int(np.argmax(bad))
+        kind = "zero" if norms[i] == 0.0 else "infinite"
+        raise DegenerateInputError(f"row {i} has {kind} norm")
     y /= norms[:, None]
     r = y @ y.T
     np.fill_diagonal(r, 1.0)

@@ -208,7 +208,8 @@ class TailLaw:
         if self.family == "symmetric_pareto":
             return self.alpha / (self.alpha - 2.0)
         a, b = self.shape, self.scale
-        return b * b / ((a - 1.0) ** 2 * (a - 2.0))
+        # products, not **, which raises OverflowError where these give inf
+        return b * b / ((a - 1.0) * (a - 1.0) * (a - 2.0))
 
     def standardized_fourth_moment(self) -> float:
         """Central fourth moment of the variance-one rescaled entry.
@@ -225,11 +226,9 @@ class TailLaw:
         if self.family == "symmetric_pareto":
             a = self.alpha
             return a / (a - 4.0) / self.variance() ** 2
-        a, b = self.shape, self.scale
-        raw = [b**k / math.prod(a - j for j in range(1, k + 1)) for k in range(1, 5)]
-        m1, m2, m3, m4 = raw
-        central4 = m4 - 4.0 * m3 * m1 + 6.0 * m2 * m1**2 - 3.0 * m1**4
-        return central4 / self.variance() ** 2
+        # inverse gamma: 3 + its excess kurtosis, free of the scale
+        a = self.shape
+        return 3.0 + (30.0 * a - 66.0) / ((a - 3.0) * (a - 4.0))
 
     def label(self) -> str:
         if self.family == "gaussian":

@@ -23,7 +23,7 @@ import numpy as np
 
 from .blas import single_blas_thread
 from .cltstats import KsResult, SummaryMoments, ks_test, standardize_cov, summary_moments
-from .errors import ConfigError, NotPositiveDefiniteError, NumericalFailure
+from .errors import ConfigError, DegenerateInputError, NotPositiveDefiniteError, NumericalFailure
 from .matrices import log_det_spd, sample_correlation, sample_covariance
 from .sampling import RngStream, TailLaw, fill_matrix, resolve_parallelism
 
@@ -237,6 +237,8 @@ def _replicate(config: ExperimentConfig, scale: float, rep: int) -> tuple[float,
         return log_det_spd(sample_covariance(x)), None
     except NotPositiveDefiniteError as exc:
         return math.nan, exc.pivot
+    except DegenerateInputError as exc:
+        raise DegenerateInputError(f"replication {rep}: {exc}") from None
 
 
 def run_simulation(config: ExperimentConfig) -> ExperimentReport:
@@ -246,8 +248,8 @@ def run_simulation(config: ExperimentConfig) -> ExperimentReport:
     fourth_moment = 1.0  # the correlation law is the covariance law at E X^4 = 1
     if config.statistic == "cov_logdet":
         variance = config.law.variance()
-        if not math.isfinite(variance):
-            raise ConfigError("cov_logdet needs a finite-variance law")
+        if not 0.0 < variance < math.inf:  # 0 or inf also where it under- or overflows
+            raise ConfigError(f"cov_logdet needs a finite, nonzero variance, got {variance}")
         scale = math.sqrt(variance)
         fourth_moment = config.law.standardized_fourth_moment()
         if not math.isfinite(fourth_moment):

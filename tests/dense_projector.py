@@ -2,8 +2,9 @@
 
 ``dense_q`` is built straight from the earlier rows by a linear solve, so it
 shares no code with the QR factorization that the library uses;
-``dense_audit`` keeps the full projector and subtracts ``np.outer``
-products, the bits that the blocked bound audit must reproduce."""
+``dense_projectors`` keeps the full projector and subtracts ``np.outer``
+products, the bits that the trace's diagonal and the blocked bound audit
+must reproduce; ``dense_audit`` reads the bounds from it."""
 
 import numpy as np
 import scipy.linalg
@@ -16,19 +17,32 @@ def dense_q(earlier: np.ndarray, n: int) -> np.ndarray:
     return p / (n - len(earlier))
 
 
+def dense_projectors(y: np.ndarray):
+    """Yield the full unscaled n-by-n projector ``P`` before each step.
+
+    ``P`` starts at the identity and loses one ``np.outer`` product of a
+    column of the same QR factor that ``girko_log_det`` uses per step, so
+    the two agree bit for bit.  The same array is yielded every time: a
+    caller may change it only if it restores it before the next step.
+    """
+    n = y.shape[1]
+    basis = scipy.linalg.qr(y.T, mode="economic")[0]
+    dense = np.eye(n)
+    outer = np.empty((n, n))
+    for w in basis.T:
+        yield dense
+        np.outer(w, w, out=outer)
+        np.subtract(dense, outer, out=dense)
+
+
 def dense_audit(y: np.ndarray) -> np.ndarray:
     """Bound audit with the full n-by-n projector and a dense outer product.
 
     Rows: diag_min, diag_max, offdiag_max, trace_error of Q_i per step.
-    The rank-one vectors are the columns of the same QR factor that
-    ``girko_log_det`` uses, so the two agree bit for bit.
     """
     p, n = y.shape
-    basis = scipy.linalg.qr(y.T, mode="economic")[0]
-    dense = np.eye(n)
-    outer = np.empty((n, n))
     out = np.empty((4, p))
-    for i in range(p):
+    for i, dense in enumerate(dense_projectors(y)):
         m = n - i
         diag = dense.diagonal().copy()
         np.fill_diagonal(dense, 0.0)
@@ -39,6 +53,4 @@ def dense_audit(y: np.ndarray) -> np.ndarray:
             abs(float(diag.sum()) / m - 1.0),
         )
         np.fill_diagonal(dense, diag)
-        np.outer(basis[:, i], basis[:, i], out=outer)
-        np.subtract(dense, outer, out=dense)
     return out

@@ -1,8 +1,14 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
+import re
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrlogdet.cli import main
 
@@ -315,6 +321,24 @@ def test_output_path_that_is_a_directory_exits_2(tmp_path, config_file, capsys):
     assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path}: ")
 
 
+@pytest.mark.parametrize("scale, kind", [(1e300, "infinite"), (1e-200, "zero")])
+def test_inverse_gamma_at_extreme_scale_exits_2_naming_the_row(tmp_path, capsys, scale, kind):
+    # the correlation path never divides by the law's scale: at 1e300 the
+    # squared row norms overflow, at 1e-200 they underflow to 0
+    cfg = {
+        "law": {"family": "inverse_gamma", "shape": 2.5, "scale": scale, "centered": True},
+        "p": 30, "n": 40, "reps": 8, "seed": 1, "statistic": "corr_logdet", "parallelism": 1,
+        "outputs": {"csv_path": str(tmp_path / "stats.csv"), "json_path": str(tmp_path / "r.json")},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(rf"error: replication 0: row \d+ has {kind} norm\n", captured.err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 def test_verify_moments_small(capsys):
     code = main(["verify-moments", "--nmax", "3", "--vectors", "2", "--trials", "1"])
     assert code == 0
@@ -464,3 +488,83 @@ def test_plot_malformed_report_exits_2(tmp_path, config_file, capsys, mangle):
     capsys.readouterr()
     assert main(["plot", "--in", str(json_path), "--out", str(tmp_path / "x.svg")]) == 2
     assert capsys.readouterr().err.startswith("error: cannot load report")
+
+
+# The input-domain fuzz: tiny configs and argv with every law, extreme
+# parameter magnitudes and out-of-range counts.  Any exit code but 0, 2 or 3
+# and any exception out of ``main`` (a traceback at the command line) fails.
+# ``one_of`` and ``sampled_from`` pick each entry alike, so repeated entries
+# weight the valid values.
+_MAGNITUDE = st.one_of(
+    st.floats(min_value=0.5, max_value=12.0),
+    st.floats(min_value=-1.0, max_value=0.5),
+    st.integers(min_value=-300, max_value=300).map(lambda e: 10.0**e),
+)
+_LAW = st.one_of(
+    st.just({"family": "gaussian"}),
+    st.builds(lambda df: {"family": "student_t", "df": df}, _MAGNITUDE),
+    st.builds(lambda a: {"family": "symmetric_pareto", "alpha": a}, _MAGNITUDE),
+    st.builds(
+        lambda a, s, c: {"family": "inverse_gamma", "shape": a, "scale": s, "centered": c},
+        _MAGNITUDE, _MAGNITUDE, st.booleans(),
+    ),
+)
+_CONFIG = st.builds(
+    lambda law, p, extra, reps, seed, statistic, parallelism: {
+        "law": law, "p": p, "n": p + extra, "reps": reps, "seed": seed,
+        "statistic": statistic, "parallelism": parallelism,
+    },
+    _LAW,
+    st.integers(1, 6),
+    st.integers(-1, 6),
+    st.sampled_from([8, 16, 7]),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["corr_logdet", "cov_logdet"]),
+    st.sampled_from([1, 2, "auto"]),
+)
+_COUNT = st.sampled_from(["1", "2", "1", "2", "0", "-1"])
+_ARGV = st.one_of(
+    st.builds(lambda cfg: ["simulate", cfg], _CONFIG),
+    st.builds(
+        lambda alpha, law, k, grid, reps, seed: [
+            "asymptotics", "--alpha", repr(alpha), "--law", law, "--k", k,
+            "--grid", grid, "--reps", reps, "--seed", seed, "--out-csv", "{out}",
+        ],
+        st.one_of(st.floats(2.05, 3.95), st.floats(2.05, 3.95), _MAGNITUDE),
+        st.sampled_from(["symmetric_pareto", "student_t"]),
+        st.sampled_from(["2", "1", "1,1", "2,1", "3", "4", "2,2,1", "0"]),
+        st.lists(st.integers(4, 40).map(str), min_size=1, max_size=2).map(",".join),
+        st.sampled_from(["16", "40", "8"]),
+        st.integers(0, 9).map(str),
+    ),
+    st.builds(
+        lambda nmax, vectors, trials, seed: [
+            "verify-moments", "--nmax", nmax, "--vectors", vectors, "--trials", trials,
+            "--seed", seed,
+        ],
+        st.sampled_from(["3", "4", "3", "4", "2"]), _COUNT, _COUNT, _COUNT,
+    ),
+    st.builds(lambda cases, seed: ["verify-girko", "--cases", cases, "--seed", seed], _COUNT, _COUNT),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_ARGV)
+def test_cli_input_domain_exits_0_2_or_3_and_exit_2_writes_nothing(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out.csv")
+        if argv[0] == "simulate":
+            config = os.path.join(tmp, "cfg.json")
+            with open(config, "w", encoding="utf-8") as fh:
+                json.dump(argv[1], fh)
+            argv = ["simulate", "--config", config, "--out-csv", out]
+        argv = [a.format(out=out) for a in argv]
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage error, e.g. --alpha -1e-64
+                code = exc.code
+        assert code in (0, 2, 3), argv
+        if code == 2:
+            assert stdout.getvalue() == "" and not os.path.exists(out), argv

@@ -15,7 +15,7 @@ from corrlogdet import (
     sample_correlation,
 )
 from corrlogdet.blas import single_blas_thread
-from dense_projector import dense_audit, dense_q
+from dense_projector import dense_audit, dense_projectors, dense_q
 from mc_table import mc_moment_table
 from reference import corr_law, unit_rows
 
@@ -227,6 +227,29 @@ def test_blocked_audit_is_bit_identical_to_dense(p, n, blocks, law):
         expected = dense_audit(y)
     for k, name in enumerate(("diag_min", "diag_max", "offdiag_max", "trace_error")):
         assert np.array_equal(audited[k], expected[k]), name
+
+
+@pytest.mark.parametrize(
+    "p, n, law",
+    [
+        (40, 100, TailLaw.gaussian()),
+        (60, 983, TailLaw.student_t(3.5)),
+        (300, 300, TailLaw.symmetric_pareto(3.5)),
+        (1, 50, TailLaw.student_t(3.5)),
+        (40, 571, TailLaw.gaussian()),
+        (30, 2000, TailLaw.student_t(3.5)),
+    ],
+    ids=["one_block", "partial_last_block", "p_equals_n", "single_row", "one_by_one_block", "verify_sized"],
+)
+def test_trace_diagonal_is_bit_identical_to_dense(p, n, law):
+    # the shapes of the blocked-audit test; the audit's diagonal bounds and
+    # the step statistics all read this one diagonal
+    y = unit_rows(fill_matrix(law, p, n, RngStream(17)))
+    with single_blas_thread():
+        diagonal = girko_log_det(y).diagonal
+        for i, dense in enumerate(dense_projectors(y)):
+            assert np.array_equal(diagonal[i], dense.diagonal()), i
+    assert diagonal.shape == (p, n)
 
 
 def test_offdiag_bound_of_identity_is_positive_zero():

@@ -94,6 +94,17 @@ def test_sample_correlation_zero_row_leaves_argument():
     assert np.array_equal(x.values, v)
 
 
+def test_sample_correlation_overflowed_row_norm_raises_with_its_index():
+    # 2^600 squared overflows, so the row's norm is inf and dividing by it
+    # would zero the row, leaving R the identity with log det 0
+    v = np.random.default_rng(4).normal(size=(5, 10))
+    v[3] *= 2.0**600
+    x = DataMatrix(v.copy())
+    with pytest.raises(DegenerateInputError, match="^row 3 has infinite norm$"):
+        sample_correlation(x)
+    assert np.array_equal(x.values, v)
+
+
 def _layouts(m):
     """``m`` as a C-ordered, a Fortran-ordered and a strided (sliced) array."""
     big = np.zeros((2 * m.shape[0], 2 * m.shape[1]))

@@ -306,6 +306,11 @@ def test_standardized_fourth_moment():
     # symmetric Pareto: E X^4 / (E X^2)^2 = (a / (a - 4)) / (a / (a - 2))^2
     assert TailLaw.symmetric_pareto(6.0).standardized_fourth_moment() == 4.0 / 3.0
     assert TailLaw.symmetric_pareto(5.0).standardized_fourth_moment() == pytest.approx(1.8, rel=1e-15)
+    # inverse gamma: 147/5 at shape 11/2 from its exact raw moments
+    # b^k / prod_{j<=k} (a - j), at any scale, also where b^4 overflows
+    for scale in (2.0, 3.0, 1e78):
+        fourth = TailLaw.inverse_gamma(5.5, scale).standardized_fourth_moment()
+        assert fourth == pytest.approx(29.4, rel=1e-15)
 
 
 @pytest.mark.parametrize(

@@ -59,7 +59,7 @@ MUTANTS = [
     Mutant("m5", "src/corrlogdet/sampling.py", "(v - 1.0) / 2.0", "(v - 1.0) / 2.2",
            ("tests/test_sampling.py",), "killed"),
     # the inverse-gamma variance
-    Mutant("m6", "src/corrlogdet/sampling.py", "** 2 * (a - 2.0))", "** 2 * (a - 2.5))",
+    Mutant("m6", "src/corrlogdet/sampling.py", "(a - 1.0) * (a - 2.0))", "(a - 1.0) * (a - 2.5))",
            ("tests/test_sampling.py",), "killed"),
     # row blocks of two rows where one row passes the block bound; no bit
     # changes, so only the direct test of the blocks sees it
@@ -96,6 +96,21 @@ MUTANTS = [
     # the constant term of the sphere fourth-moment coefficients
     Mutant("k-constant", "src/corrlogdet/moments.py", "- 3 * one\n", "- 2 * one\n",
            ("tests/test_moments.py", "-k", "k_coefficients"), "killed"),
+    # the trace's projector diagonal as 1 minus an exclusive cumsum, which
+    # differs from the running subtraction in the last bits
+    Mutant("trace-diagonal-cumsum", "src/corrlogdet/girko.py",
+           "    diag[0] = 1.0\n"
+           "    np.square(ut[:-1], out=diag[1:])\n"
+           "    np.subtract.accumulate(diag, axis=0, out=diag)\n",
+           "    diag[0] = 0.0\n"
+           "    np.square(ut[:-1], out=diag[1:])\n"
+           "    np.cumsum(diag, axis=0, out=diag)\n"
+           "    np.subtract(1.0, diag, out=diag)\n",
+           ("tests/test_girko.py", "-k", "blocked_audit_is_bit_identical"), "killed"),
+    # a row whose squared norm overflows is normalized to zero, not refused
+    Mutant("row-norm-inf-check", "src/corrlogdet/matrices.py",
+           "(norms == 0.0) | (norms == np.inf)", "norms == 0.0",
+           ("tests/test_matrices.py", "-k", "overflowed_row_norm"), "killed"),
     # the Student-t angle through sin: the angle is uniform on a full turn,
     # so the law is the same and only the pinned digests see the change
     Mutant("t-angle-sin", "src/corrlogdet/sampling.py",

@@ -32,6 +32,8 @@ COMMANDS = [
     ("verify-moments-n4", ["verify-moments", "--nmax", "4", "--vectors", "6", "--trials", "3"]),
     ("verify-moments-default", ["verify-moments"]),
     ("verify-moments-n8", ["verify-moments", "--nmax", "8", "--vectors", "3", "--trials", "2"]),
+    ("verify-girko-5", ["verify-girko", "--cases", "5"]),
+    ("verify-girko-default", ["verify-girko"]),
     (
         "asymptotics-pareto-k2",
         ["asymptotics", "--alpha", "3.5", "--k", "2", "--grid", "500,2000",
