@@ -9,12 +9,7 @@ goodness of fit (:mod:`corrlogdet.cltstats`), and a config-driven Monte
 Carlo harness (:mod:`corrlogdet.simulate`) with CLI (``corrlogdet``).
 """
 
-from .cltstats import (
-    ks_test,
-    standardize_corr,
-    standardize_cov,
-    summary_moments,
-)
+from .cltstats import ks_test, standardize_cov, summary_moments
 from .errors import (
     ConfigError,
     DegenerateInputError,

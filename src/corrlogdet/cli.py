@@ -7,13 +7,14 @@ Cholesky audit), ``asymptotics`` (scaled-moment convergence diagnostic),
 
 Exit codes: 0 success, 1 verification failure, 2 invalid configuration or
 arguments, a degenerate data row or out of memory, 3 numerical failure
-beyond the flag budget.
+beyond the flag budget, 141 a closed stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 
 from .errors import (
@@ -49,9 +50,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--config", required=True, help="path to the JSON experiment config")
     sim.add_argument("--seed", type=int, default=None, help="override the config seed")
     sim.add_argument("--reps", type=int, default=None, help="override the replication count")
-    sim.add_argument("--out-csv", default=None, help="override the statistics CSV path")
-    sim.add_argument("--out-json", default=None, help="override the report JSON path")
-    sim.add_argument("--out-svg", default=None, help="override the SVG figure path")
+    sim.add_argument("--out-csv", dest="csv_path", help="override the statistics CSV path")
+    sim.add_argument("--out-json", dest="json_path", help="override the report JSON path")
+    sim.add_argument("--out-svg", dest="svg_path", help="override the SVG figure path")
 
     vm = sub.add_parser("verify-moments", help="exact-rational certification of the identities")
     vm.add_argument("--nmax", type=int, default=6, help="largest coordinate count, 3 to 8")
@@ -86,19 +87,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_simulate(args) -> int:
     config = ExperimentConfig.from_json_file(args.config)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.reps is not None:
-        overrides["reps"] = args.reps
-    if args.out_csv is not None:
-        overrides["csv_path"] = args.out_csv
-    if args.out_json is not None:
-        overrides["json_path"] = args.out_json
-    if args.out_svg is not None:
-        overrides["svg_path"] = args.out_svg
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
+    fields = ("seed", "reps", "csv_path", "json_path", "svg_path")
+    overrides = {f: getattr(args, f) for f in fields if getattr(args, f) is not None}
+    config = dataclasses.replace(config, **overrides)
     config.check_outputs(args.config)
     report = run_simulation(config)
     written = write_outputs(report, config)
@@ -118,17 +109,7 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_verify_moments(args) -> int:
-    report = verify_moments(
-        nmax=args.nmax, vectors=args.vectors, trials=args.trials, seed=args.seed
-    )
-    for line in report.lines():
-        print(line)
-    return 0 if report.passed else 1
-
-
-def _cmd_verify_girko(args) -> int:
-    report = verify_girko(cases=args.cases, seed=args.seed)
+def _print_report(report) -> int:
     for line in report.lines():
         print(line)
     return 0 if report.passed else 1
@@ -149,9 +130,7 @@ def _cmd_asymptotics(args) -> int:
     else:
         law = TailLaw.student_t(args.alpha)
     check_output_paths({"--out-csv": args.out_csv})
-    rows = convergence_diagnostic(
-        law, exponents, grid, reps=args.reps, rng=RngStream(args.seed)
-    )
+    rows = convergence_diagnostic(law, exponents, grid, reps=args.reps, rng=RngStream(args.seed))
     csv_text = diagnostic_csv(rows)
     if args.out_csv:
         write_text(args.out_csv, csv_text)
@@ -175,8 +154,12 @@ def _cmd_plot(args) -> int:
 
 _DISPATCH = {
     "simulate": _cmd_simulate,
-    "verify-moments": _cmd_verify_moments,
-    "verify-girko": _cmd_verify_girko,
+    # the lambdas look the verifiers up at call time, so a wrapper that
+    # replaces this module's ``verify_moments`` or ``verify_girko`` sees the call
+    "verify-moments": lambda args: _print_report(
+        verify_moments(nmax=args.nmax, vectors=args.vectors, trials=args.trials, seed=args.seed)
+    ),
+    "verify-girko": lambda args: _print_report(verify_girko(cases=args.cases, seed=args.seed)),
     "asymptotics": _cmd_asymptotics,
     "plot": _cmd_plot,
 }
@@ -186,7 +169,13 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        code = _DISPATCH[args.command](args)
+        sys.stdout.flush()  # so that a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout's reader is gone (``| head``): exit as SIGPIPE would, quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ConfigError, DegenerateInputError, ParameterDomainError, ResourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

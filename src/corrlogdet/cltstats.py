@@ -25,31 +25,22 @@ from scipy import special
 from .errors import ParameterDomainError
 
 
-def _check_shape(p: int, n: int) -> None:
-    if not 0 < p < n:
-        raise ParameterDomainError(f"need 0 < p < n, got p={p}, n={n}")
-
-
 def _c_n(p: int, n: int) -> float:
     """Combinatorial constant ``c_n = sum_{j<p} log(1 - j/n)`` of the
     sequential decomposition; defined for ``p <= n``."""
     return float(np.sum(np.log1p(-np.arange(p) / n)))
 
 
-def standardize_corr(logdet_r: np.ndarray, p: int, n: int) -> np.ndarray:
-    """Standardized correlation log-determinants (asymptotically N(0,1)): the
-    covariance law at fourth moment 1, to the bit (0.5 * -2.0 is -1.0)."""
-    return standardize_cov(logdet_r, p, n, 1.0)
-
-
 def standardize_cov(logdet_s: np.ndarray, p: int, n: int, fourth_moment: float) -> np.ndarray:
     """Standardized covariance log-determinants for variance-one entries.
 
-    ``fourth_moment`` is E[X^4] of the (variance-one) entry; the variance
+    ``fourth_moment`` is E[X^4] of the (variance-one) entry, and 1 for the
+    correlation log-determinant (see the module docstring); the variance
     expression can turn non-positive for fourth moments below 3 at extreme
     aspect ratios, which is surfaced as a domain error rather than a NaN.
     """
-    _check_shape(p, n)
+    if not 0 < p < n:
+        raise ParameterDomainError(f"need 0 < p < n, got p={p}, n={n}")
     if not fourth_moment >= 1.0:
         raise ParameterDomainError("fourth moment must be >= 1 for unit-variance entries")
     ratio = p / n

@@ -550,9 +550,7 @@ def _row_estimates(
             return np.ones(y2.shape[0])
         return (y4 * factor[j] if j > 2 else y4).sum(axis=1)
 
-    # n (n - 1) ... (n - r + 1) for r index slots, rounded once per factor
-    divisor = list(itertools.accumulate(range(n, n - 4, -1), operator.mul, initial=1.0))
-    return {key: _COINCIDENCES[key][1](p) / divisor[len(key)] for key in keys}
+    return {key: _COINCIDENCES[key][1](p) / math.perm(n, len(key)) for key in keys}
 
 
 def check_batch_shape(n: int, reps: int) -> None:

@@ -3,8 +3,10 @@ import hashlib
 import io
 import json
 import os
-import re
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -321,22 +323,55 @@ def test_output_path_that_is_a_directory_exits_2(tmp_path, config_file, capsys):
     assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path}: ")
 
 
-@pytest.mark.parametrize("scale, kind", [(1e300, "infinite"), (1e-200, "zero")])
-def test_inverse_gamma_at_extreme_scale_exits_2_naming_the_row(tmp_path, capsys, scale, kind):
-    # the correlation path never divides by the law's scale: at 1e300 the
-    # squared row norms overflow, at 1e-200 they underflow to 0
+def _inverse_gamma_logdets(tmp_path, scale):
+    """``logdet_raw`` of a 30x40 inverse-gamma correlation run at ``scale``."""
+    out = tmp_path / str(scale)
+    out.mkdir()
     cfg = {
         "law": {"family": "inverse_gamma", "shape": 2.5, "scale": scale, "centered": True},
         "p": 30, "n": 40, "reps": 8, "seed": 1, "statistic": "corr_logdet", "parallelism": 1,
-        "outputs": {"csv_path": str(tmp_path / "stats.csv"), "json_path": str(tmp_path / "r.json")},
+        "outputs": {"csv_path": str(out / "stats.csv")},
     }
-    path = tmp_path / "cfg.json"
+    path = out / "cfg.json"
     path.write_text(json.dumps(cfg))
-    assert main(["simulate", "--config", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert re.fullmatch(rf"error: replication 0: row \d+ has {kind} norm\n", captured.err)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+    assert main(["simulate", "--config", str(path)]) == 0
+    return [float(line.split(",")[1]) for line in (out / "stats.csv").read_text().splitlines()[1:]]
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e-200, 2.0**600], ids=["1e300", "1e-200", "2^600"])
+def test_inverse_gamma_at_extreme_scale_matches_scale_one(tmp_path, scale):
+    # the correlation path never divides by the law's scale: unscaled, the
+    # squared row norms overflow at 1e300 and underflow to 0 at 1e-200; the
+    # power-of-two row scaling gives the scale-1 log-determinants, to the
+    # bit where the law's scale is itself a power of two
+    expected = _inverse_gamma_logdets(tmp_path, 1.0)
+    got = _inverse_gamma_logdets(tmp_path, scale)
+    if scale == 2.0**600:
+        assert got == expected
+    else:
+        assert got == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify-moments"])
+def test_closed_stdout_exits_141_quietly(config_file, command):
+    # the reader of stdout is gone before the first byte (``| head -0``):
+    # SIGPIPE's exit code, and no traceback or "Exception ignored" line
+    argv = {
+        "simulate": ["simulate", "--config", str(config_file), "--reps", "40"],
+        "verify-moments": ["verify-moments", "--nmax", "3", "--vectors", "2", "--trials", "1"],
+    }[command]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "corrlogdet.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=300,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, b"")
 
 
 def test_verify_moments_small(capsys):

@@ -8,7 +8,6 @@ from corrlogdet import cltstats
 from corrlogdet import (
     ParameterDomainError,
     ks_test,
-    standardize_corr,
     standardize_cov,
     summary_moments,
 )
@@ -23,34 +22,18 @@ def test_constants_at_half_ratio():
     assert cltstats._c_n(500, 1000) < 0.0
 
 
-def test_standardize_corr_centering():
+def test_standardize_cov_at_fourth_moment_one_is_the_correlation_law():
+    # the correlation law is the covariance law at beta = -2
     mu, sigma2 = corr_law(200, 500)
-    assert standardize_corr(mu, 200, 500) == 0.0
-    assert standardize_corr(mu + math.sqrt(sigma2), 200, 500) == pytest.approx(1.0)
+    assert standardize_cov(mu, 200, 500, 1.0) == 0.0
+    assert standardize_cov(mu + math.sqrt(sigma2), 200, 500, 1.0) == pytest.approx(1.0)
 
 
-def test_standardize_corr_is_cov_at_fourth_moment_one():
-    # the correlation law is the covariance law at beta = -2, to the bit, on
-    # 2,001 fixed (p, n): n from 2 to 10**9 on a geometric grid, p from 1 to n - 1
-    shapes = set()
-    for n in np.unique(np.geomspace(2, 1e9, 220).astype(np.int64)).tolist():
-        for p in (1, 2, n // 100, n // 7, n // 3, n // 2, 2 * n // 3, 9 * n // 10, n - 2, n - 1):
-            if 0 < p < n:
-                shapes.add((p, n))
-    assert len(shapes) == 2001
-    assert (1, 2) in shapes and (10**9 - 1, 10**9) in shapes
-    x = np.array([-1e6, -153.273, -1.0, 0.0, 0.5, 1e3])
-    for p, n in shapes:
-        corr = standardize_corr(x, p, n)
-        cov = standardize_cov(x, p, n, 1.0)
-        assert np.array_equal(corr.view(np.uint64), cov.view(np.uint64)), (p, n)
-
-
-def test_standardize_corr_domain():
+def test_standardize_cov_correlation_domain():
     with pytest.raises(ParameterDomainError):
-        standardize_corr(0.0, 500, 500)
+        standardize_cov(0.0, 500, 500, 1.0)
     with pytest.raises(ParameterDomainError):
-        standardize_corr(0.0, 0, 500)
+        standardize_cov(0.0, 0, 500, 1.0)
 
 
 def test_standardize_cov_gaussian_reduction():

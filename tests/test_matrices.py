@@ -16,7 +16,6 @@ from corrlogdet import (
     sample_correlation,
     sample_covariance,
 )
-from corrlogdet.matrices import _row_norms
 from reference import unit_rows
 
 
@@ -75,8 +74,12 @@ def test_self_normalize_unit_norms():
 
 @pytest.mark.parametrize("p", [1, 63, 64, 65, 500])
 def test_block_row_norms_match_linalg_norm(p):
-    v = np.random.default_rng(p).standard_t(3.5, size=(p, 301))
-    assert np.array_equal(_row_norms(v), np.linalg.norm(v, axis=1))
+    # neither the row blocks nor the power-of-two scaling moves a bit of
+    # Y = X / np.linalg.norm(X, axis=1)
+    x = DataMatrix(np.random.default_rng(p).standard_t(3.5, size=(p, 301)))
+    y = unit_rows(x)
+    sample_correlation(x)
+    assert np.array_equal(x.values, y)
 
 
 def test_sample_correlation_leaves_normalized_rows_in_its_argument():
@@ -94,15 +97,15 @@ def test_sample_correlation_zero_row_leaves_argument():
     assert np.array_equal(x.values, v)
 
 
-def test_sample_correlation_overflowed_row_norm_raises_with_its_index():
-    # 2^600 squared overflows, so the row's norm is inf and dividing by it
-    # would zero the row, leaving R the identity with log det 0
+@pytest.mark.parametrize("k", [600, -600])
+def test_sample_correlation_keeps_its_bits_at_row_scale_2_to_600(k):
+    # unscaled, the row's squares overflow to inf at 2^600 (dividing by the
+    # norm would zero the row, leaving R the identity) or underflow to 0 at
+    # 2^-600; scaled by a power of two first, R keeps every bit
     v = np.random.default_rng(4).normal(size=(5, 10))
-    v[3] *= 2.0**600
-    x = DataMatrix(v.copy())
-    with pytest.raises(DegenerateInputError, match="^row 3 has infinite norm$"):
-        sample_correlation(x)
-    assert np.array_equal(x.values, v)
+    r = sample_correlation(DataMatrix(v.copy()))
+    v[3] *= 2.0**k
+    assert np.array_equal(sample_correlation(DataMatrix(v)), r)
 
 
 def _layouts(m):
@@ -190,6 +193,25 @@ def test_correlation_row_scale_invariance_property(seed, p, extra):
     r2 = sample_correlation(DataMatrix(d[:, None] * x))
     r1 = sample_correlation(DataMatrix(x))
     assert np.max(np.abs(r1 - r2)) < 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=2, max_value=12),
+    st.integers(min_value=2, max_value=30),
+)
+def test_correlation_power_of_two_row_scale_property(seed, p, extra):
+    # the twin of the property above at scales 2^k, k in [-600, 600], where
+    # unscaled squares overflow or underflow: power-of-two scales are exact,
+    # so R keeps every bit
+    n = p + extra
+    rng = np.random.default_rng(seed)
+    x = rng.standard_t(df=3.5, size=(p, n))
+    k = rng.integers(-600, 601, size=p)
+    r2 = sample_correlation(DataMatrix(np.ldexp(x, k[:, None])))
+    r1 = sample_correlation(DataMatrix(x))
+    assert np.array_equal(r1, r2)
 
 
 def test_correlation_unit_diagonal_and_rescaled_covariance():

@@ -71,9 +71,9 @@ MUTANTS = [
            '            raise ConfigError(f"cannot write {path}: {real} is a directory")\n',
            "", ("tests/test_cli.py",), "killed"),
     # the correlation law read at the Gaussian fourth moment, not at 1
-    Mutant("corr-fourth-moment-3", "src/corrlogdet/cltstats.py",
-           "standardize_cov(logdet_r, p, n, 1.0)", "standardize_cov(logdet_r, p, n, 3.0)",
-           ("tests/test_cltstats.py",), "killed"),
+    Mutant("corr-fourth-moment-3", "src/corrlogdet/simulate.py",
+           "fourth_moment = 1.0", "fourth_moment = 3.0",
+           ("tests/test_simulate.py", "-k", "small_gaussian"), "killed"),
     # the sign of the fourth-moment term of the limit variance
     Mutant("cov-variance-excess-sign", "src/corrlogdet/cltstats.py",
            "+ excess * ratio", "- excess * ratio", ("tests/test_cltstats.py",), "killed"),
@@ -107,10 +107,16 @@ MUTANTS = [
            "    np.cumsum(diag, axis=0, out=diag)\n"
            "    np.subtract(1.0, diag, out=diag)\n",
            ("tests/test_girko.py", "-k", "blocked_audit_is_bit_identical"), "killed"),
-    # a row whose squared norm overflows is normalized to zero, not refused
-    Mutant("row-norm-inf-check", "src/corrlogdet/matrices.py",
-           "(norms == 0.0) | (norms == np.inf)", "norms == 0.0",
-           ("tests/test_matrices.py", "-k", "overflowed_row_norm"), "killed"),
+    # rows squared without their power-of-two scaling: at 2^600 the squares
+    # overflow and at 2^-600 they underflow to 0
+    Mutant("row-norm-no-scaling", "src/corrlogdet/matrices.py",
+           "        np.ldexp(b, shift[a : a + _NORM_ROWS, None], out=b)\n", "",
+           ("tests/test_matrices.py", "-k", "2_to_600"), "killed"),
+    # the number of distinct index tuples counted from n - 1 coordinates
+    Mutant("row-estimates-perm", "src/corrlogdet/moments.py",
+           "(p) / math.perm(n, len(key))", "(p) / math.perm(n - 1, len(key))",
+           ("tests/test_moments.py", "-k", "mc_table_satisfies_identities_structurally"),
+           "killed"),
     # the Student-t angle through sin: the angle is uniform on a full turn,
     # so the law is the same and only the pinned digests see the change
     Mutant("t-angle-sin", "src/corrlogdet/sampling.py",
