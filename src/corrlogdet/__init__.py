@@ -28,12 +28,12 @@ from .moments import (
     WeightVector,
     complete_table,
     fourth_moment_centered,
-    fourth_moment_raw,
     fourth_moment_sphere,
     k_coefficients,
     permutation_oracle,
     quadratic_form_moments,
     sphere_identity_residuals,
+    weighted_moment,
 )
 from .sampling import RngStream, TailLaw, fill_matrix
 from .simulate import ExperimentConfig, ExperimentReport, run_simulation, statistics_csv

@@ -33,7 +33,7 @@ from .simulate import (
     write_outputs,
     write_text,
 )
-from .svgplot import emit_plot
+from .svgplot import emit_plot, law_label
 from .tail_limits import convergence_diagnostic, diagnostic_csv
 from .verify import verify_girko, verify_moments
 
@@ -95,7 +95,7 @@ def _cmd_simulate(args) -> int:
     written = write_outputs(report, config)
     s = report.summary
     print(
-        f"{config.law.label()} p={config.p} n={config.n} reps={config.reps} "
+        f"{law_label(config.law.to_config())} p={config.p} n={config.n} reps={config.reps} "
         f"[{config.statistic}]"
     )
     print(
@@ -125,10 +125,8 @@ def _int_list(option: str, text: str) -> list[int]:
 def _cmd_asymptotics(args) -> int:
     exponents = tuple(_int_list("--k", args.k))
     grid = _int_list("--grid", args.grid)
-    if args.law == "symmetric_pareto":
-        law = TailLaw.symmetric_pareto(args.alpha)
-    else:
-        law = TailLaw.student_t(args.alpha)
+    # argparse has restricted --law to the names of TailLaw constructors
+    law = getattr(TailLaw, args.law)(args.alpha)
     check_output_paths({"--out-csv": args.out_csv})
     rows = convergence_diagnostic(law, exponents, grid, reps=args.reps, rng=RngStream(args.seed))
     csv_text = diagnostic_csv(rows)

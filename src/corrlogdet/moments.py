@@ -135,11 +135,6 @@ class MomentTable:
         except KeyError:
             raise IncompleteTableError(f"moment table is missing {key}") from None
 
-    def require(self, keys: Iterable[tuple[int, ...]]) -> None:
-        missing = [k for k in keys if k not in self.moments]
-        if missing:
-            raise IncompleteTableError(f"moment table is missing {missing}")
-
 
 def complete_table(partial: MomentTable) -> MomentTable:
     """Fill all half-degree <= 4 entries of a unit-sphere table.
@@ -149,7 +144,6 @@ def complete_table(partial: MomentTable) -> MomentTable:
     closed form.  After completion the multinomial normalizations hold
     identically.
     """
-    partial.require(_BASE_KEYS)
     n = partial.n
     b22 = partial.get(2, 2)
     b222 = partial.get(2, 2, 2)
@@ -193,7 +187,6 @@ def sphere_identity_residuals(table: MomentTable) -> dict[str, Number]:
     the multinomial normalizations of degree k, ``lift_*`` the recursions
     from multiplying a monomial by ``1 = sum Z^2``.
     """
-    table.require(ALL_KEYS)
     n = table.n
     g = table.get
     filled = complete_table(table).get
@@ -277,16 +270,11 @@ def k_coefficients(s2: Number, s3: Number, s4: Number, n: int) -> KCoefficients:
     return KCoefficients(constant, c44, c22, c222, c2222)
 
 
-def _weighted_moment(w: WeightVector, t: MomentTable, m: int) -> Number:
+def weighted_moment(w: WeightVector, t: MomentTable, m: int) -> Number:
     """``E[(sum a_k Z_k^2)^m]`` for exchangeable Z, one term per index
     coincidence pattern of half-degree ``m``."""
     p = {1: 1, 2: w.s2, 3: w.s3, 4: w.s4}.__getitem__
     return sum(count * poly(p) * t.get(*key) for key, count, poly in _patterns(m))
-
-
-def fourth_moment_raw(w: WeightVector, t: MomentTable) -> Number:
-    """``E[(sum a_k Z_k^2)^4]``, expanded over index coincidence patterns."""
-    return _weighted_moment(w, t, 4)
 
 
 def fourth_moment_centered(w: WeightVector, t: MomentTable) -> Number:
@@ -297,9 +285,8 @@ def fourth_moment_centered(w: WeightVector, t: MomentTable) -> Number:
     Needs every table entry of half-degree <= 4; holds with or without the
     sphere constraint.
     """
-    t.require(ALL_KEYS)
     c = t.get(2)
-    es2, es3, es4 = (_weighted_moment(w, t, m) for m in (2, 3, 4))
+    es2, es3, es4 = (weighted_moment(w, t, m) for m in (2, 3, 4))
     return es4 - 4 * c * es3 + 6 * c * c * es2 - 3 * c**4
 
 
@@ -356,7 +343,6 @@ def quadratic_form_moments(
     b = _symmetric_object_array(b_mat, "B")
     if b.shape != a.shape:
         raise ParameterDomainError("A and B must have equal shapes")
-    t.require([(2,), (4,), (6,), (2, 2), (4, 2), (2, 2, 2)])
     b2, b4, b6 = t.get(2), t.get(4), t.get(6)
     b22, b42, b222 = t.get(2, 2), t.get(4, 2), t.get(2, 2, 2)
 
@@ -585,7 +571,8 @@ def mc_moment_batches(
     key, summed once per batch, so neither the thread count nor the block
     size changes a bit of the result.  Memory in flight per worker is one
     row block of raw draws and its transform, plus ``reps / MC_BATCHES``
-    floats per requested key.
+    floats per requested key.  A row whose squared norm is 0 or not finite
+    raises :class:`DegenerateInputError` naming its batch and row.
     """
     check_batch_shape(n, reps)
     base, extra = divmod(reps, MC_BATCHES)
@@ -599,8 +586,11 @@ def mc_moment_batches(
             y2 = _transform(law, raw)
             y2 *= y2
             norms_sq = y2.sum(axis=1)
-            if not np.all(norms_sq > 0.0):
-                raise DegenerateInputError("zero row encountered in Monte Carlo draw")
+            ok = (norms_sq > 0.0) & (norms_sq < np.inf)  # unscaled squares: 0, inf or NaN fail
+            if not ok.all():
+                i = int(np.argmin(ok))
+                row = f"Monte Carlo batch {b}: row {rows.start + i}"
+                raise DegenerateInputError(f"{row} has squared norm {norms_sq[i]:g}")
             y2 /= norms_sq[:, None]
             for key, vals in _row_estimates(y2, n, keys).items():
                 per_row[key][rows] = vals

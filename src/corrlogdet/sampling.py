@@ -230,16 +230,6 @@ class TailLaw:
         a = self.shape
         return 3.0 + (30.0 * a - 66.0) / ((a - 3.0) * (a - 4.0))
 
-    def label(self) -> str:
-        if self.family == "gaussian":
-            return "N(0,1)"
-        if self.family == "student_t":
-            return f"t({self.df:g})"
-        if self.family == "symmetric_pareto":
-            return f"sym-Pareto({self.alpha:g})"
-        suffix = ", centered" if self.centered else ""
-        return f"InvGamma({self.shape:g}, {self.scale:g}{suffix})"
-
     def to_config(self) -> dict:
         cfg: dict = {"family": self.family}
         cfg.update((name, getattr(self, name)) for name in _PARAMETERS[self.family])

@@ -35,6 +35,13 @@ def _normal_pdf(x: float) -> float:
     return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
+def law_label(law: dict) -> str:
+    """A law's config as ``family(name=value, ...)``, its fields sorted."""
+    family = law.get("family", "?")
+    params = ", ".join(f"{k}={v}" for k, v in sorted(law.items()) if k != "family")
+    return f"{family}({params})" if params else family
+
+
 def emit_plot(report: ExperimentReport) -> str:
     """The report's figure as an SVG document, one element per line: the
     histogram, the kernel density and the N(0,1) density, with axes and a
@@ -83,11 +90,7 @@ def emit_plot(report: ExperimentReport) -> str:
     ]
 
     cfg = report.config
-    law = cfg.get("law", {})
-    family = law.get("family", "?")
-    params = ", ".join(f"{k}={v}" for k, v in sorted(law.items()) if k != "family")
-    label = f"{family}({params})" if params else family
-    title = f"{label} p={cfg.get('p')} n={cfg.get('n')} reps={cfg.get('reps')}"
+    title = f"{law_label(cfg.get('law', {}))} p={cfg.get('p')} n={cfg.get('n')} reps={cfg.get('reps')}"
     subtitle = f"KS p-value {report.ks.p_value:.4g}, variance {report.summary.variance:.4g}"
     parts.append(text(_W / 2, 20, title, 13, anchor="middle"))
     parts.append(text(_W / 2, 36, subtitle, 11, anchor="middle", fill="#555"))

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -55,6 +56,28 @@ def test_simulate_writes_outputs(tmp_path, config_file, capsys):
     report = json.loads(json_path.read_text())
     assert report["config"]["p"] == 15
     assert svg_path.read_text().startswith("<svg ")
+
+
+@pytest.mark.parametrize(
+    "law, label",
+    [
+        ({"family": "gaussian"}, "gaussian"),
+        (
+            {"family": "inverse_gamma", "shape": 3.5, "scale": 2, "centered": True},
+            "inverse_gamma(centered=True, scale=2, shape=3.5)",
+        ),
+    ],
+    ids=["gaussian", "inverse_gamma"],
+)
+def test_simulate_first_line_has_the_figure_law_label(tmp_path, config_file, capsys, law, label):
+    cfg = json.loads(config_file.read_text())
+    config_file.write_text(json.dumps({**cfg, "law": law}))
+    svg_path = tmp_path / "fig.svg"
+    argv = ["simulate", "--config", str(config_file), "--reps", "40", "--out-svg", str(svg_path)]
+    assert main(argv) == 0
+    title = re.search(r"<text [^>]*>([^<]*) p=", svg_path.read_text()).group(1)
+    assert title == label
+    assert capsys.readouterr().out.splitlines()[0].startswith(f"{label} p=15 n=45 reps=40 ")
 
 
 def test_simulate_overrides(tmp_path, config_file):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special, stats
 
 from corrlogdet import cltstats
@@ -110,6 +112,14 @@ def test_ks_matches_scipy_on_either_side(shift):
     assert ref.statistic_sign == (-1 if shift > 0 else 1)
     assert ours.statistic == pytest.approx(ref.statistic, abs=1e-12)
     assert ours.p_value == pytest.approx(ref.pvalue, abs=1e-8)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=8, max_value=400))
+def test_ks_ignores_sample_order(seed, m):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_t(df=3.5, size=m)
+    assert ks_test(rng.permutation(x)) == ks_test(x)
 
 
 def test_ks_calibration_under_null():

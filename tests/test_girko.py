@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrlogdet import cltstats, girko
 from corrlogdet import (
@@ -250,6 +252,25 @@ def test_trace_diagonal_is_bit_identical_to_dense(p, n, law):
         for i, dense in enumerate(dense_projectors(y)):
             assert np.array_equal(diagonal[i], dense.diagonal()), i
     assert diagonal.shape == (p, n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=0, max_value=60),
+)
+def test_negated_rows_keep_every_bit_of_the_recursion(seed, p, extra):
+    # Householder QR of -Y' has the reflectors of Y', so U is the same and R
+    # is negated, and every step statistic reads U, R's squared diagonal or
+    # products of two rows of Y
+    rng = np.random.default_rng(seed)
+    x = rng.standard_t(df=3.5, size=(p, p + extra))
+    y = x / np.linalg.norm(x, axis=1)[:, None]
+    plus, minus = girko_log_det(y), girko_log_det(-y)
+    assert minus.log_det == plus.log_det
+    for name in ("z_tilde", "u_part", "v_part", "power_sums"):
+        assert np.array_equal(getattr(minus, name), getattr(plus, name)), name
 
 
 def test_offdiag_bound_of_identity_is_positive_zero():

@@ -202,16 +202,19 @@ def test_correlation_row_scale_invariance_property(seed, p, extra):
     st.integers(min_value=2, max_value=30),
 )
 def test_correlation_power_of_two_row_scale_property(seed, p, extra):
-    # the twin of the property above at scales 2^k, k in [-600, 600], where
-    # unscaled squares overflow or underflow: power-of-two scales are exact,
-    # so R keeps every bit
+    # the twin of the property above at scales s * 2^k, k in [-600, 600] and
+    # s = +-1, where unscaled squares overflow or underflow: sign flips and
+    # power-of-two scales are exact, so R only flips the signs s_i s_j and
+    # log det R keeps every bit
     n = p + extra
     rng = np.random.default_rng(seed)
     x = rng.standard_t(df=3.5, size=(p, n))
     k = rng.integers(-600, 601, size=p)
-    r2 = sample_correlation(DataMatrix(np.ldexp(x, k[:, None])))
+    s = rng.choice([-1.0, 1.0], size=p)
+    r2 = sample_correlation(DataMatrix(s[:, None] * np.ldexp(x, k[:, None])))
     r1 = sample_correlation(DataMatrix(x))
-    assert np.array_equal(r1, r2)
+    assert np.array_equal(r2, np.outer(s, s) * r1)
+    assert log_det_spd(r2) == log_det_spd(r1)
 
 
 def test_correlation_unit_diagonal_and_rescaled_covariance():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 from fractions import Fraction as F
 
@@ -20,12 +21,12 @@ from corrlogdet import (
     WeightVector,
     complete_table,
     fourth_moment_centered,
-    fourth_moment_raw,
     fourth_moment_sphere,
     k_coefficients,
     permutation_oracle,
     quadratic_form_moments,
     sphere_identity_residuals,
+    weighted_moment,
 )
 from corrlogdet import moments, sampling
 from corrlogdet.moments import (
@@ -182,8 +183,21 @@ def test_complete_table_gaussian_sphere():
 
 
 def test_complete_table_missing_key():
-    with pytest.raises(IncompleteTableError):
+    with pytest.raises(IncompleteTableError, match=r"missing \(2, 2, 2\)"):
         complete_table(MomentTable(n=5, moments={(2, 2): F(1, 35)}))
+    # the other functions that read a table name the key they miss too
+    full = uniform_sphere_table(5).moments
+    w = WeightVector((F(1, 5),) * 5)
+    eye = [[F(int(i == j)) for j in range(5)] for i in range(5)]
+    readers = {
+        (6, 2): sphere_identity_residuals,
+        (4, 4): lambda t: fourth_moment_centered(w, t),
+        (4, 2): lambda t: quadratic_form_moments(eye, eye, t),
+    }
+    for key, read in readers.items():
+        table = MomentTable(n=5, moments={k: v for k, v in full.items() if k != key})
+        with pytest.raises(IncompleteTableError, match=re.escape(f"missing {key}")):
+            read(table)
 
 
 def test_multinomial_normalization_exact():
@@ -327,8 +341,20 @@ def test_mc_batches_zero_row_error_reaches_caller(monkeypatch, threads):
         moments, "_transform", lambda law, raw: np.zeros(raw.shape[:1] + raw.shape[2:])
     )
     monkeypatch.setattr(moments, "MC_BATCHES", 4)
-    with pytest.raises(DegenerateInputError, match=r"^zero row encountered in Monte Carlo draw$"):
+    message = r"^Monte Carlo batch 0: row 0 has squared norm 0$"
+    with pytest.raises(DegenerateInputError, match=message):
         mc_moment_batches(TailLaw.gaussian(), 8, 64, RngStream(5))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("scale, norm", [(1e200, "inf"), (1e-200, "0")], ids=["1e200", "1e-200"])
+def test_mc_batches_fail_loudly_at_extreme_scales(scale, norm):
+    # the entries are squared unscaled: at 1e200 the squares overflow to inf,
+    # at 1e-200 they underflow to 0, and neither row is zero
+    law = TailLaw.inverse_gamma(3.5, scale)
+    message = rf"^Monte Carlo batch 0: row \d+ has squared norm {norm}$"
+    with pytest.raises(DegenerateInputError, match=message):
+        mc_moment_batches(law, 50, 320, RngStream(0), keys=((4,), (2, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +394,7 @@ def test_centered_single_weight_reduces_to_binomial():
     b2 = t.get(2)
     expected = t.get(8) - 4 * b2 * t.get(6) + 6 * b2**2 * t.get(4) - 3 * b2**4
     assert fourth_moment_centered(w, t) == expected
-    assert fourth_moment_raw(w, t) == t.get(8)
+    assert weighted_moment(w, t, 4) == t.get(8)
 
 
 def test_equal_weights_on_sphere_collapse():
@@ -376,7 +402,7 @@ def test_equal_weights_on_sphere_collapse():
     t = uniform_sphere_table(n)
     w = WeightVector((F(1, n),) * n)
     assert fourth_moment_centered(w, t) == 0
-    assert fourth_moment_raw(w, t) == F(1, n) ** 4
+    assert weighted_moment(w, t, 4) == F(1, n) ** 4
     assert fourth_moment_sphere(w, t) == 0
 
 
@@ -398,7 +424,7 @@ def test_binomial_route_matches_direct_expansion():
                 b2,
                 diagonal.cross_second,
                 diagonal.third_raw,
-                fourth_moment_raw(w, t),
+                weighted_moment(w, t, 4),
             ]
             binomial = sum(
                 math.comb(4, j) * raw[j] * (-b2) ** (4 - j) for j in range(5)
@@ -414,7 +440,7 @@ def test_fourth_moments_match_enumeration():
             z = (F(1),) * n
         t = permutation_oracle(z)
         w = rational_weights(n, rng)
-        assert fourth_moment_raw(w, t) == enumerated_weighted_power(w.a, z, 4)
+        assert weighted_moment(w, t, 4) == enumerated_weighted_power(w.a, z, 4)
         assert fourth_moment_centered(w, t) == enumerated_weighted_power(
             w.a, z, 4, shift=-t.get(2)
         )

@@ -117,6 +117,20 @@ MUTANTS = [
            "(p) / math.perm(n, len(key))", "(p) / math.perm(n - 1, len(key))",
            ("tests/test_moments.py", "-k", "mc_table_satisfies_identities_structurally"),
            "killed"),
+    # a missing moment key reads as 0 instead of raising
+    Mutant("table-get-missing-zero", "src/corrlogdet/moments.py",
+           'raise IncompleteTableError(f"moment table is missing {key}") from None', "return 0",
+           ("tests/test_moments.py", "-k", "missing_key"), "killed"),
+    # the law label's fields in the config's order, not sorted
+    Mutant("law-label-unsorted", "src/corrlogdet/svgplot.py",
+           "sorted(law.items())", "law.items()",
+           ("tests/test_simulate.py::test_svg_plot_golden_bytes",
+            "tests/test_cli.py::test_simulate_first_line_has_the_figure_law_label"), "killed"),
+    # the Monte Carlo row check lets an infinite squared norm through, so
+    # the batch means turn NaN
+    Mutant("mc-norm-inf-check", "src/corrlogdet/moments.py",
+           "(norms_sq > 0.0) & (norms_sq < np.inf)", "(norms_sq > 0.0)",
+           ("tests/test_moments.py", "-k", "extreme_scales"), "killed"),
     # the Student-t angle through sin: the angle is uniform on a full turn,
     # so the law is the same and only the pinned digests see the change
     Mutant("t-angle-sin", "src/corrlogdet/sampling.py",
